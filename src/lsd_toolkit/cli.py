@@ -22,17 +22,14 @@ import numpy as np
 from .coset import CosetParams, coset_generate, params_from_json, params_to_json
 from .errors import LsdToolkitError
 from .lsd import (
+    average_concurrence,
     ls_decompose,
     lsd_to_json,
     report_to_json,
+    split_invariants,
     verify_optimality,
 )
-from .qstate import (
-    density_from_json,
-    density_to_json,
-    lambda_spectrum,
-    spin_flip_vec,
-)
+from .qstate import density_from_json, density_to_json, lambda_spectrum
 from .suites import run_coset_suite, run_lsd_suite, run_wootters_suite
 from .wootters import concurrence, entanglement_of_formation
 
@@ -117,29 +114,6 @@ def _emit(payload, args):
         print(text)
 
 
-def _split_invariants(rho, d):
-    target = d.weight * d.sep.m
-    if d.pure is not None:
-        target = target + (1.0 - d.weight) * np.outer(d.pure, np.conj(d.pure))
-    recon = float(np.max(np.abs(target - rho.m)))
-    zsum = np.zeros((4, 4), dtype=complex)
-    for z in d.zs:
-        zsum = zsum + np.outer(z, np.conj(z))
-    ens = float(np.max(np.abs(zsum - d.sep.m)))
-    zc = max(abs(complex(np.vdot(z, spin_flip_vec(z)))) for z in d.zs)
-    out = {
-        "reconstruction": recon,
-        "ensemble_sum": ens,
-        "zero_concurrence": float(zc),
-    }
-    if d.rank_class == "separable":
-        out["boundary"] = None
-    else:
-        lpp = d.lambdas_pp
-        out["boundary"] = abs(float(lpp[0] - lpp[1] - lpp[2] - lpp[3]))
-    return out
-
-
 def cmd_analyze(args):
     obj, label, digest = _load_json(args.input)
     rho = density_from_json(obj)
@@ -150,11 +124,7 @@ def cmd_analyze(args):
     t1 = time.perf_counter()
     d = ls_decompose(rho)
     t2 = time.perf_counter()
-    if d.pure is None:
-        avg = None
-    else:
-        ov = np.vdot(d.pure, spin_flip_vec(d.pure))
-        avg = float((1.0 - d.weight) * abs(ov))
+    avg = None if d.pure is None else average_concurrence(d)
     payload = {
         "input": {"path": label, "sha256": digest},
         "spectrum": [float(x) for x in spec.lambdas],
@@ -186,7 +156,7 @@ def cmd_decompose(args):
     t0 = time.perf_counter()
     d = ls_decompose(rho)
     t1 = time.perf_counter()
-    inv = _split_invariants(rho, d)
+    inv = split_invariants(rho, d)._asdict()
     payload = {
         "input": {"path": label, "sha256": digest},
         "decomposition": lsd_to_json(d),

@@ -28,6 +28,8 @@ __all__ = [
     "ls_decompose",
     "average_concurrence",
     "product_ensemble",
+    "SplitInvariants",
+    "split_invariants",
     "PptResult",
     "ppt_check",
     "SingleCheck",
@@ -262,6 +264,40 @@ def product_ensemble(d, phases=None):
     return _build_zs(d.xpp, phases)
 
 
+SplitInvariants = namedtuple(
+    "SplitInvariants",
+    ["reconstruction", "ensemble_sum", "zero_concurrence", "boundary"],
+)
+
+
+def split_invariants(rho, d):
+    """Residuals of the structural identities of a split of rho.
+
+    reconstruction is max|weight sep + (1 - weight)|psi><psi| - rho|,
+    ensemble_sum is max|sum_alpha |z_alpha><z_alpha| - sep|,
+    zero_concurrence is max_alpha |<z_alpha|z_alpha tilde>|, and boundary
+    is |lambda''_1 - lambda''_2 - lambda''_3 - lambda''_4|, None for a
+    separable decomposition.
+    """
+    recon = d.weight * d.sep.m
+    if d.pure is not None:
+        recon = recon + (1.0 - d.weight) * np.outer(d.pure, np.conj(d.pure))
+    zsum = np.zeros((4, 4), dtype=complex)
+    for z in d.zs:
+        zsum = zsum + np.outer(z, np.conj(z))
+    zc = max(abs(complex(np.vdot(z, spin_flip_vec(z)))) for z in d.zs)
+    boundary = None
+    if d.rank_class != "separable":
+        lpp = d.lambdas_pp
+        boundary = abs(float(lpp[0] - lpp[1] - lpp[2] - lpp[3]))
+    return SplitInvariants(
+        reconstruction=float(np.max(np.abs(recon - rho.m))),
+        ensemble_sum=float(np.max(np.abs(zsum - d.sep.m))),
+        zero_concurrence=float(zc),
+        boundary=boundary,
+    )
+
+
 PptResult = namedtuple("PptResult", ["separable", "min_pt_eigenvalue"])
 
 
@@ -345,7 +381,7 @@ def _parallel(u, v):
     return abs(np.vdot(u, v)) / (nu * nv) > 1.0 - 1e-10
 
 
-def _single_record(alpha, z, anchor, coeff, tol):
+def _single_record(alpha, z, anchor, coeff):
     lam_a = float(np.vdot(z, z).real)
     if anchor is None:
         basis = dual_basis([z])
@@ -359,7 +395,7 @@ def _single_record(alpha, z, anchor, coeff, tol):
     )
 
 
-def _independent_pair_record(a, b, za, zb, anchor, coeff, tol):
+def _independent_pair_record(a, b, za, zb, anchor, coeff):
     lam_a = float(np.vdot(za, za).real)
     lam_b = float(np.vdot(zb, zb).real)
     if anchor is None:
@@ -389,7 +425,7 @@ def _independent_pair_record(a, b, za, zb, anchor, coeff, tol):
     )
 
 
-def _dependent_pair_record(a, b, za, zb, x1, coeff, g, tol):
+def _dependent_pair_record(a, b, za, zb, x1, coeff, g):
     """Closed-form check for a pair tied by z_a + z_b = x''_1.
 
     The coefficient matrix gains the rank-one block g * ones(2, 2); its
@@ -463,34 +499,21 @@ def verify_optimality(rho, d, tol=1e-8):
     lamw = float(d.weight)
     coeff = (1.0 - lamw) / lamw if lamw > 1e-12 else (1.0 - lamw)
 
-    structural = []
-
-    recon = lamw * d.sep.m
-    if d.pure is not None:
-        recon = recon + (1.0 - lamw) * np.outer(d.pure, np.conj(d.pure))
-    structural.append(("reconstruction", float(np.max(np.abs(recon - rho.m)))))
-
+    inv = split_invariants(rho, d)
     if cls == "separable":
         predicted = 1.0
     elif cls == "pure":
         predicted = 0.0
     else:
         predicted = 1.0 - (c_raw / float(lam[0])) * n1
-    structural.append(("weight-identity", abs(lamw - predicted)))
-
-    zsum = np.zeros((4, 4), dtype=complex)
-    for z in d.zs:
-        zsum = zsum + np.outer(z, np.conj(z))
-    structural.append(("ensemble-sum", float(np.max(np.abs(zsum - d.sep.m)))))
-
-    zc = max(abs(complex(np.vdot(z, spin_flip_vec(z)))) for z in d.zs)
-    structural.append(("zero-concurrence", zc))
-
-    if cls != "separable":
-        lpp = d.lambdas_pp
-        structural.append(
-            ("boundary", abs(float(lpp[0] - lpp[1] - lpp[2] - lpp[3])))
-        )
+    structural = [
+        ("reconstruction", inv.reconstruction),
+        ("weight-identity", abs(lamw - predicted)),
+        ("ensemble-sum", inv.ensemble_sum),
+        ("zero-concurrence", inv.zero_concurrence),
+    ]
+    if inv.boundary is not None:
+        structural.append(("boundary", inv.boundary))
 
     checks = [
         StructuralCheck(name=n, residual=r, tol=tol, passed=bool(r <= tol))
@@ -512,21 +535,19 @@ def verify_optimality(rho, d, tol=1e-8):
     if cls == "separable":
         live = [a for a in range(4) if float(np.vdot(zs[a], zs[a]).real) > 1e-14]
         for a in live:
-            singles.append(_single_record(a, zs[a], None, None, tol))
+            singles.append(_single_record(a, zs[a], None, None))
         for i, a in enumerate(live):
             for b in live[i + 1 :]:
                 if _parallel(zs[a], zs[b]):
                     continue
-                pairs.append(
-                    _independent_pair_record(a, b, zs[a], zs[b], None, None, tol)
-                )
+                pairs.append(_independent_pair_record(a, b, zs[a], zs[b], None, None))
     elif cls == "pure":
         distinct = []
         for a in range(4):
             if not any(_parallel(zs[a], zs[b]) for b in distinct):
                 distinct.append(a)
         for a in distinct:
-            singles.append(_single_record(a, zs[a], d.pure, coeff, tol))
+            singles.append(_single_record(a, zs[a], d.pure, coeff))
         # pairwise conditions are vacuous at weight zero
     else:
         rest_cls = float(np.sum(np.where(lam[1:] > thr, lam[1:], 0.0)))
@@ -544,16 +565,12 @@ def verify_optimality(rho, d, tol=1e-8):
             dep = [(0, 2)]
             indep = []
         for a in single_idx:
-            singles.append(_single_record(a, zs[a], x1, coeff, tol))
+            singles.append(_single_record(a, zs[a], x1, coeff))
         for a, b in indep:
-            pairs.append(
-                _independent_pair_record(a, b, zs[a], zs[b], x1, coeff, tol)
-            )
+            pairs.append(_independent_pair_record(a, b, zs[a], zs[b], x1, coeff))
         if g is not None:
             for a, b in dep:
-                pairs.append(
-                    _dependent_pair_record(a, b, zs[a], zs[b], x1, coeff, g, tol)
-                )
+                pairs.append(_dependent_pair_record(a, b, zs[a], zs[b], x1, coeff, g))
 
     residuals = [c.residual for c in checks]
     residuals += [s.residual for s in singles]

@@ -1,11 +1,16 @@
-"""Self-contained linear algebra for small complex matrices.
+"""Checked linear algebra for small complex matrices.
 
-Hermitian eigendecomposition via cyclic Jacobi rotations, positive
-semidefinite square roots, Takagi factorization of complex symmetric
-matrices, a real 2x2 singular value decomposition with proper rotations,
-and dual-basis / restricted-inverse helpers.  Everything is sized for the
-2x2 and 4x4 matrices used elsewhere in the package; no LAPACK eigensolver
-is called on the way to any contractual result.
+A Hermitian eigendecomposition (np.linalg.eigh behind finiteness and
+hermiticity checks, with a deterministic order inside degenerate
+clusters), positive semidefinite square roots, Takagi factorization of
+complex symmetric matrices, a real 2x2 singular value decomposition with
+proper rotations, and dual-basis / restricted-inverse helpers.
+Everything is sized for the 2x2 and 4x4 matrices used elsewhere in the
+package, and every eigenvalue in the package comes from herm_eig.
+
+The trailing lambdas of a low-rank state come out as exact zeros not
+because of the solver but because lambda_spectrum_raw and eigen_ensemble
+clamp state eigenvalues at or below 1e-12 to zero before going on.
 """
 
 from dataclasses import dataclass
@@ -33,16 +38,18 @@ __all__ = [
 
 
 def herm_eig(h, tol=1e-10):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Checked eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w sorted in descending order and the
-    matching orthonormal eigenvectors as the columns of v.  Ordering inside
-    a degenerate cluster is made deterministic by phase-normalizing each
-    column and comparing entries lexicographically, so equal eigenvalues of
-    a diagonal input keep their input order.
+    matching orthonormal eigenvectors as the columns of v, computed by
+    np.linalg.eigh on the symmetrized input.  Ordering inside a degenerate
+    cluster is made deterministic by phase-normalizing each column and
+    comparing entries lexicographically, so equal eigenvalues of a
+    diagonal input keep their input order.
 
-    Raises NotHermitian when max|h - h^dag| exceeds tol relative to the
-    larger of 1 and the largest entry magnitude.
+    Raises NotHermitian when an entry is not finite, or when
+    max|h - h^dag| exceeds tol relative to the larger of 1 and the
+    largest entry magnitude.
     """
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -50,53 +57,17 @@ def herm_eig(h, tol=1e-10):
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
+    # checked first: the residual test below lets non-finite input through,
+    # since NaN compares False and a diagonal inf*1j gives res = scale = inf
+    if not np.all(np.isfinite(a)):
+        raise NotHermitian("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     res = float(np.max(np.abs(a - a.conj().T)))
     if res > tol * scale:
         raise NotHermitian("max|h - h^dag| = %.3e exceeds %.3e" % (res, tol * scale))
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    stop = 1e-14 * max(1.0, float(np.linalg.norm(a)))
-    for _sweep in range(60):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                u = apq / r
-                zeta = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                # smaller-magnitude root of t^2 - 2*zeta*t - 1 = 0
-                if zeta >= 0.0:
-                    t = -1.0 / (zeta + np.sqrt(zeta * zeta + 1.0))
-                else:
-                    t = 1.0 / (np.sqrt(zeta * zeta + 1.0) - zeta)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                su = s * u
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp + np.conj(su) * colq
-                a[:, q] = -su * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp + su * rowq
-                a[q, :] = -np.conj(su) * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + np.conj(su) * vq
-                v[:, q] = -su * vp + c * vq
-    w = np.diag(a).real.copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
     _canonicalize_clusters(w, v)
     return w, v
 

@@ -19,13 +19,19 @@ from .coset import (
     y_factor,
     y_from_x,
 )
-from .lsd import average_concurrence, ls_decompose, ppt_check, verify_optimality
+from .lsd import (
+    average_concurrence,
+    ls_decompose,
+    ppt_check,
+    split_invariants,
+    verify_optimality,
+)
 from .qstate import (
     SIGMA_YY,
     DensityMatrix,
     lambda_spectrum_raw,
     sample_random,
-    spin_flip_vec,
+    spin_flip_matrix,
 )
 from .wootters import concurrence, wootters_basis
 
@@ -120,13 +126,8 @@ def run_wootters_suite(n=200, seed=0, tol=None):
             np.max(np.abs(lambda_spectrum_raw(2.5 * rho.m) - 2.5 * lam)),
         )
 
-        invol.add(s, np.max(np.abs(_flip_twice(rho.m) - rho.m)))
+        invol.add(s, np.max(np.abs(spin_flip_matrix(spin_flip_matrix(rho.m)) - rho.m)))
     return [t.result() for t in trk]
-
-
-def _flip_twice(m):
-    once = SIGMA_YY @ np.conj(m) @ SIGMA_YY
-    return SIGMA_YY @ np.conj(once) @ SIGMA_YY
 
 
 def _random_pure(seed):
@@ -157,24 +158,17 @@ def run_lsd_suite(n=100, seed=0, tol=None):
         else:
             rho = sample_random(s, rank=2 + k % 3)
         d = ls_decompose(rho)
-
-        target = d.weight * d.sep.m
-        if d.pure is not None:
-            target = target + (1.0 - d.weight) * np.outer(d.pure, np.conj(d.pure))
-        recon.add(s, np.max(np.abs(target - rho.m)))
+        inv = split_invariants(rho, d)
+        recon.add(s, inv.reconstruction)
 
         ppt = ppt_check(d.sep)
         sep_ppt.add(s, max(0.0, -ppt.min_pt_eigenvalue))
 
-        if d.rank_class != "separable":
-            lpp = d.lambdas_pp
-            boundary.add(s, abs(float(lpp[0] - lpp[1] - lpp[2] - lpp[3])))
+        if inv.boundary is not None:
+            boundary.add(s, inv.boundary)
             avg_c.add(s, abs(average_concurrence(d) - concurrence(rho)))
 
-        zero_c.add(
-            s,
-            max(abs(complex(np.vdot(z, spin_flip_vec(z)))) for z in d.zs),
-        )
+        zero_c.add(s, inv.zero_concurrence)
 
         rep = verify_optimality(rho, d, tol=cert.tol)
         cert.add(s, rep.max_residual if rep.verdict else max(rep.max_residual, 1.0))

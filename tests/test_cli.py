@@ -221,6 +221,15 @@ class TestErrorPaths:
         bad.write_text(json.dumps(obj))
         assert main(["analyze", "--input", str(bad), "--output", "/dev/null"]) == 3
 
+    def test_nan_state_exits_three(self, tmp_path, capsys):
+        obj = density_to_json(sample_random(1))
+        obj["matrix"][1][2] = [float("nan"), 0.0]
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))
+        assert "NaN" in bad.read_text()
+        assert main(["analyze", "--input", str(bad), "--output", "/dev/null"]) == 3
+        assert "NotHermitian" in capsys.readouterr().err
+
 
 class TestConsoleScript:
     def test_entry_point(self, werner_file):

@@ -81,6 +81,19 @@ class TestHermEig:
         with pytest.raises(ValueError):
             herm_eig(np.zeros((2, 3)))
 
+    def test_rejects_non_finite(self):
+        # a diagonal inf*1j gives max|h - h^dag| = scale = inf, which the
+        # relative hermiticity test alone lets through
+        for bad in (np.nan, np.inf, np.inf * 1j):
+            h = np.eye(2, dtype=complex)
+            h[0, 0] = bad
+            with pytest.raises(NotHermitian):
+                herm_eig(h)
+        with pytest.raises(NotHermitian):
+            psd_sqrt(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(NotHermitian):
+            takagi(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
 
 class TestPsdSqrt:
     def test_identity(self):

@@ -29,6 +29,14 @@ def werner(p):
     return DensityMatrix(p * np.outer(PHI_P, PHI_P) + (1.0 - p) * np.eye(4) / 4.0)
 
 
+def graded_factor(seed, rank):
+    """Unit-trace 4 x rank factor g with column scales 10^-U(0, 3)."""
+    rng = np.random.default_rng([rank, seed])
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    g = g * 10.0 ** -rng.uniform(0.0, 3.0, rank)
+    return g / np.linalg.norm(g)
+
+
 def bell_diagonal(ps):
     m = sum(
         p * np.outer(b, b.conj())
@@ -75,6 +83,17 @@ class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(NotUnitTrace):
             DensityMatrix(np.eye(4) / 2.0)
+
+    def test_rejects_non_finite(self):
+        nan = np.eye(4, dtype=complex) / 4.0
+        nan[1, 2] = nan[2, 1] = np.nan
+        inf = np.eye(4, dtype=complex) / 4.0
+        inf[0, 1] = inf[1, 0] = np.inf
+        diag = np.eye(4, dtype=complex) / 4.0
+        diag[0, 0] = np.inf * 1j
+        for m in (nan, inf, diag):
+            with pytest.raises(NotHermitian):
+                DensityMatrix(m)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPSD):
@@ -156,11 +175,23 @@ class TestLambdaSpectrum:
             lam = lambda_spectrum_raw(rho.m)
             assert np.max(np.abs(lambda_spectrum_raw(3.0 * rho.m) - 3.0 * lam)) < 1e-12
 
+    def test_matches_singular_values_of_the_factor(self):
+        # for rho = g g^dag the lambdas are the singular values of the
+        # complex symmetric g^T SIGMA_YY g, zero-padded to four
+        for rank in (1, 2, 3, 4):
+            for seed in range(200):
+                g = graded_factor(seed, rank)
+                ref = np.zeros(4)
+                ref[:rank] = np.linalg.svd(g.T @ SIGMA_YY @ g, compute_uv=False)
+                lam = lambda_spectrum_raw(g @ g.conj().T)
+                assert np.max(np.abs(lam - ref)) < 1e-12
+
     def test_low_rank_zeros_are_exact(self):
-        for seed in range(30):
-            lam = lambda_spectrum_raw(sample_random(seed, rank=2).m)
-            assert lam[2] == 0.0
-            assert lam[3] == 0.0
+        for rank in (1, 2, 3):
+            for seed in range(30):
+                g = graded_factor(seed, rank)
+                for m in (sample_random(seed, rank=rank).m, g @ g.conj().T):
+                    assert np.all(lambda_spectrum_raw(m)[rank:] == 0.0)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
