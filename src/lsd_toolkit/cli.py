@@ -17,21 +17,17 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from .coset import CosetParams, coset_generate, params_from_json, params_to_json
+from .coset import CosetParams, coset_generate
 from .errors import LsdToolkitError
 from .lsd import (
     average_concurrence,
     ls_decompose,
-    lsd_to_json,
-    report_to_json,
     split_invariants,
     verify_optimality,
 )
-from .qstate import density_from_json, density_to_json, lambda_spectrum
-from .suites import run_coset_suite, run_lsd_suite, run_wootters_suite
-from .wootters import concurrence, entanglement_of_formation
+from .qstate import DensityMatrix, from_json, lambda_spectrum, to_json
+from .suites import _random_params, run_coset_suite, run_lsd_suite, run_wootters_suite
+from .wootters import _concurrence_of, _eof_of
 
 log = logging.getLogger("lsd_toolkit")
 
@@ -74,31 +70,21 @@ def _is_scalar(v):
 
 def _text_lines(obj, indent):
     pad = "  " * indent
-    lines = []
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            if _is_scalar(v):
-                lines.append("%s%s: %s" % (pad, k, _fmt_scalar(v)))
-            elif isinstance(v, list) and all(_is_scalar(x) for x in v):
-                lines.append(
-                    "%s%s: [%s]" % (pad, k, ", ".join(_fmt_scalar(x) for x in v))
-                )
-            else:
-                lines.append("%s%s:" % (pad, k))
-                lines.extend(_text_lines(v, indent + 1))
+        items = [("%s: " % k, v) for k, v in obj.items()]
     elif isinstance(obj, list):
-        for v in obj:
-            if _is_scalar(v):
-                lines.append("%s- %s" % (pad, _fmt_scalar(v)))
-            elif isinstance(v, list) and all(_is_scalar(x) for x in v):
-                lines.append(
-                    "%s- [%s]" % (pad, ", ".join(_fmt_scalar(x) for x in v))
-                )
-            else:
-                lines.append("%s-" % pad)
-                lines.extend(_text_lines(v, indent + 1))
+        items = [("- ", v) for v in obj]
     else:
-        lines.append("%s%s" % (pad, _fmt_scalar(obj)))
+        return [pad + _fmt_scalar(obj)]
+    lines = []
+    for head, v in items:
+        if _is_scalar(v):
+            lines.append(pad + head + _fmt_scalar(v))
+        elif isinstance(v, list) and all(_is_scalar(x) for x in v):
+            lines.append(pad + head + "[%s]" % ", ".join(_fmt_scalar(x) for x in v))
+        else:
+            lines.append(pad + head.rstrip())
+            lines.extend(_text_lines(v, indent + 1))
     return lines
 
 
@@ -114,20 +100,31 @@ def _emit(payload, args):
         print(text)
 
 
+def _certify(rho, d, args, payload):
+    """With --certify, add the certificate to payload; 4 if it rejects, else 0."""
+    if not args.certify:
+        return 0
+    t0 = time.perf_counter()
+    rep = verify_optimality(rho, d, tol=args.tol)
+    payload["optimality"] = to_json(rep)
+    payload["timings"]["certify"] = time.perf_counter() - t0
+    return 0 if rep.verdict else 4
+
+
 def cmd_analyze(args):
     obj, label, digest = _load_json(args.input)
-    rho = density_from_json(obj)
+    rho = from_json(DensityMatrix, obj)
     t0 = time.perf_counter()
     spec = lambda_spectrum(rho)
-    c = concurrence(rho)
-    eof = entanglement_of_formation(rho)
+    c = _concurrence_of(spec.lambdas)
+    eof = _eof_of(c)
     t1 = time.perf_counter()
     d = ls_decompose(rho)
     t2 = time.perf_counter()
     avg = None if d.pure is None else average_concurrence(d)
     payload = {
         "input": {"path": label, "sha256": digest},
-        "spectrum": [float(x) for x in spec.lambdas],
+        "spectrum": to_json(spec.lambdas),
         "concurrence": c,
         "entanglement_of_formation": eof,
         "lsd": {
@@ -137,14 +134,7 @@ def cmd_analyze(args):
         },
         "timings": {"analyze": t1 - t0, "decompose": t2 - t1},
     }
-    rc = 0
-    if args.certify:
-        t3 = time.perf_counter()
-        rep = verify_optimality(rho, d, tol=args.tol)
-        payload["optimality"] = report_to_json(rep)
-        payload["timings"]["certify"] = time.perf_counter() - t3
-        if not rep.verdict:
-            rc = 4
+    rc = _certify(rho, d, args, payload)
     log.info("analyze finished with exit code %d", rc)
     _emit(payload, args)
     return rc
@@ -152,58 +142,38 @@ def cmd_analyze(args):
 
 def cmd_decompose(args):
     obj, label, digest = _load_json(args.input)
-    rho = density_from_json(obj)
+    rho = from_json(DensityMatrix, obj)
     t0 = time.perf_counter()
     d = ls_decompose(rho)
     t1 = time.perf_counter()
     inv = split_invariants(rho, d)._asdict()
     payload = {
         "input": {"path": label, "sha256": digest},
-        "decomposition": lsd_to_json(d),
+        "decomposition": to_json(d),
         "invariants": inv,
         "timings": {"decompose": t1 - t0},
     }
-    rc = 0
+    rc = _certify(rho, d, args, payload)
     if any(v is not None and v > args.tol for v in inv.values()):
         rc = 4
-    if args.certify:
-        t2 = time.perf_counter()
-        rep = verify_optimality(rho, d, tol=args.tol)
-        payload["optimality"] = report_to_json(rep)
-        payload["timings"]["certify"] = time.perf_counter() - t2
-        if not rep.verdict:
-            rc = 4
     log.info("decompose finished with exit code %d", rc)
     _emit(payload, args)
     return rc
 
 
-def _csv_floats(text, count, name):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != count:
-        raise ValueError("%s expects %d comma-separated values" % (name, count))
-    return tuple(parts)
-
-
 def _params_from_args(args):
     if args.params:
         obj, _, _ = _load_json(args.params)
-        return params_from_json(obj)
+        return from_json(CosetParams, obj)
     if args.lambdas is not None:
+        # CosetParams converts each entry to float and checks the lengths
         return CosetParams(
-            lambdas=_csv_floats(args.lambdas, 4, "--lambdas"),
-            theta=_csv_floats(args.theta, 2, "--theta"),
-            xi=_csv_floats(args.xi, 2, "--xi"),
-            phi=_csv_floats(args.phi, 2, "--phi"),
+            lambdas=args.lambdas.split(","),
+            theta=args.theta.split(","),
+            xi=args.xi.split(","),
+            phi=args.phi.split(","),
         )
-    rng = np.random.default_rng(args.seed)
-    lam = np.sort(rng.random(4))[::-1]
-    return CosetParams(
-        lambdas=tuple(float(x) for x in lam),
-        theta=tuple(rng.uniform(-2.0, 2.0, 2)),
-        xi=tuple(rng.uniform(0.0, 2.0, 2)),
-        phi=tuple(rng.uniform(-2.0, 2.0, 2)),
-    )
+    return _random_params(args.seed)
 
 
 def cmd_generate(args):
@@ -212,10 +182,10 @@ def cmd_generate(args):
     res = coset_generate(p)
     t1 = time.perf_counter()
     payload = {
-        "state": density_to_json(res.rho),
-        "achieved_spectrum": [float(x) for x in res.wootters.lambdas.lambdas],
+        "state": to_json(res.rho),
+        "achieved_spectrum": to_json(res.wootters.lambdas.lambdas),
         "trace_factor": float(res.trace_factor),
-        "params": params_to_json(p),
+        "params": to_json(p),
         "timings": {"generate": t1 - t0},
     }
     log.info("generated state with trace factor %.6f", res.trace_factor)
@@ -237,17 +207,7 @@ def cmd_verify(args):
     t0 = time.perf_counter()
     for nm in names:
         rs = _SUITES[nm](n=args.n, seed=args.seed, tol=args.tol)
-        results[nm] = [
-            {
-                "name": r.name,
-                "cases": r.cases,
-                "max_residual": r.max_residual,
-                "tol": r.tol,
-                "passed": r.passed,
-                "first_failure_seed": r.first_failure_seed,
-            }
-            for r in rs
-        ]
+        results[nm] = [to_json(r) for r in rs]
         for r in rs:
             if not r.passed and first_fail is None:
                 first_fail = (nm, r)
@@ -267,6 +227,13 @@ def cmd_verify(args):
         )
         return 5
     return 0
+
+
+def _at_least_one(text):
+    n = int(text) if text.isdecimal() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return n
 
 
 def _add_io_args(sp, with_input=True, with_tol=True, with_certify=False):
@@ -322,7 +289,7 @@ def _build_parser():
         default="all",
         help="which suite to run",
     )
-    pv.add_argument("--n", type=int, default=100, help="cases per suite")
+    pv.add_argument("--n", type=_at_least_one, default=100, help="cases per suite")
     pv.add_argument("--seed", type=int, default=0, help="base seed")
     pv.add_argument(
         "--tol",
@@ -348,7 +315,7 @@ def main(argv=None):
             "validation error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr
         )
         return 3
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 

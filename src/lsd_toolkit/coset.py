@@ -9,12 +9,14 @@ whose overlap spectrum is the target up to an overall trace factor.
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from typing import Tuple
 
 import numpy as np
 
 from .errors import NotSpecialUnitary, RankDeficient, ZeroState
 from .matcore import herm_eig
-from .qstate import SIGMA_YY, DensityMatrix, SpectrumLambda
+from .qstate import SIGMA_YY, DensityMatrix, SpectrumLambda, from_json, to_json
 from .wootters import WoottersDecomposition
 
 __all__ = [
@@ -59,10 +61,10 @@ class CosetParams:
     non-negative.  theta and phi are unconstrained.
     """
 
-    lambdas: tuple
-    theta: tuple
-    xi: tuple
-    phi: tuple
+    lambdas: Tuple[float, ...]
+    theta: Tuple[float, ...]
+    xi: Tuple[float, ...]
+    phi: Tuple[float, ...]
 
     def __post_init__(self):
         lam = tuple(float(x) for x in self.lambdas)
@@ -261,21 +263,5 @@ def haar_su2(rng):
     )
 
 
-def params_to_json(params):
-    """JSON-ready dict for generator parameters."""
-    return {
-        "lambdas": [float(x) for x in params.lambdas],
-        "theta": [float(x) for x in params.theta],
-        "xi": [float(x) for x in params.xi],
-        "phi": [float(x) for x in params.phi],
-    }
-
-
-def params_from_json(obj):
-    """Parse the dict form produced by params_to_json."""
-    return CosetParams(
-        lambdas=tuple(float(x) for x in obj["lambdas"]),
-        theta=tuple(float(x) for x in obj["theta"]),
-        xi=tuple(float(x) for x in obj["xi"]),
-        phi=tuple(float(x) for x in obj["phi"]),
-    )
+params_to_json = to_json
+params_from_json = partial(from_json, CosetParams)

@@ -10,16 +10,20 @@ weight that can sit on that product direction.
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import NoPurePart, PhaseConstraintViolated, RankMismatch
 from .matcore import dual_basis, herm_eig, restricted_inverse
 from .qstate import (
+    ComplexArray,
     DensityMatrix,
-    density_from_json,
-    density_to_json,
+    RealArray,
+    from_json,
     spin_flip_vec,
+    to_json,
 )
 from .wootters import wootters_basis
 
@@ -74,13 +78,13 @@ class LSDecomposition:
     """
 
     weight: float
-    sep: DensityMatrix
-    pure: object
-    xpp: tuple
-    lambdas_pp: np.ndarray
-    zs: tuple
     rank_class: str
-    phases: np.ndarray
+    sep: DensityMatrix
+    pure: Optional[ComplexArray]
+    xpp: Tuple[ComplexArray, ...]
+    lambdas_pp: RealArray
+    zs: Tuple[ComplexArray, ...]
+    phases: RealArray
 
     def __post_init__(self):
         if not -1e-12 <= self.weight <= 1.0 + 1e-12:
@@ -119,6 +123,20 @@ def _build_zs(xpp, phases):
 
 def _zero_threshold(lam):
     return 1e-8 * max(float(lam[0]), 1e-30)
+
+
+def _optimal_weight(w):
+    """Optimal separable weight of an entangled state from its basis w.
+
+    Returns 1 - (C / lambda_1) <x_1|x_1>, the spectrum with entries at or
+    below the zero threshold set to 0, and the sum of its last three.
+    """
+    lam = w.lambdas.lambdas
+    c = float(lam[0] - lam[1] - lam[2] - lam[3])
+    x1 = w.xs[0]
+    weight = 1.0 - (c / float(lam[0])) * float(np.vdot(x1, x1).real)
+    lam_cls = np.where(lam > _zero_threshold(lam), lam, 0.0)
+    return weight, float(lam_cls[1] + lam_cls[2] + lam_cls[3]), lam_cls
 
 
 def _classify(rho, lam):
@@ -195,13 +213,8 @@ def ls_decompose(rho):
             rank_class=cls,
             phases=DEFAULT_PHASES.copy(),
         )
-    thr = _zero_threshold(lam)
-    c = float(lam[0] - lam[1] - lam[2] - lam[3])
+    weight, rest, lam_cls = _optimal_weight(w)
     x1 = w.xs[0]
-    n1 = float(np.vdot(x1, x1).real)
-    weight = 1.0 - (c / float(lam[0])) * n1
-    lam_cls = np.where(lam > thr, lam, 0.0)
-    rest = float(lam_cls[1] + lam_cls[2] + lam_cls[3])
     xpp = [np.sqrt(rest / (weight * float(lam[0]))) * x1]
     for j in (1, 2, 3):
         xj = w.xs[j]
@@ -224,7 +237,7 @@ def ls_decompose(rho):
     return LSDecomposition(
         weight=float(weight),
         sep=DensityMatrix(sepm),
-        pure=x1 / np.sqrt(n1),
+        pure=x1 / np.sqrt(float(np.vdot(x1, x1).real)),
         xpp=tuple(xpp),
         lambdas_pp=lambdas_pp,
         zs=_build_zs(xpp, DEFAULT_PHASES),
@@ -341,9 +354,9 @@ class PairCheck:
     cross: complex
     diag_a: float
     diag_b: float
-    gamma: object
-    reproduced_a: object
-    reproduced_b: object
+    gamma: Optional[float]
+    reproduced_a: Optional[float]
+    reproduced_b: Optional[float]
     residual: float
 
 
@@ -362,11 +375,11 @@ class OptimalityReport:
     """Certificate output: per-alpha and per-pair records plus a verdict."""
 
     rank_class: str
-    single: tuple
-    pairwise: tuple
-    structural: tuple
     verdict: bool
     max_residual: float
+    single: Tuple[SingleCheck, ...]
+    pairwise: Tuple[PairCheck, ...]
+    structural: Tuple[StructuralCheck, ...]
 
 
 def _sandwich(minv, u, v):
@@ -492,10 +505,7 @@ def verify_optimality(rho, d, tol=1e-8):
         raise RankMismatch(
             "state classifies as %s, decomposition says %s" % (cls, d.rank_class)
         )
-    thr = _zero_threshold(lam)
-    c_raw = float(lam[0] - lam[1] - lam[2] - lam[3])
     x1 = w.xs[0]
-    n1 = float(np.vdot(x1, x1).real)
     lamw = float(d.weight)
     coeff = (1.0 - lamw) / lamw if lamw > 1e-12 else (1.0 - lamw)
 
@@ -505,7 +515,7 @@ def verify_optimality(rho, d, tol=1e-8):
     elif cls == "pure":
         predicted = 0.0
     else:
-        predicted = 1.0 - (c_raw / float(lam[0])) * n1
+        predicted, rest, _ = _optimal_weight(w)
     structural = [
         ("reconstruction", inv.reconstruction),
         ("weight-identity", abs(lamw - predicted)),
@@ -550,8 +560,7 @@ def verify_optimality(rho, d, tol=1e-8):
             singles.append(_single_record(a, zs[a], d.pure, coeff))
         # pairwise conditions are vacuous at weight zero
     else:
-        rest_cls = float(np.sum(np.where(lam[1:] > thr, lam[1:], 0.0)))
-        g = (1.0 - lamw) * float(lam[0]) / rest_cls if rest_cls > 0.0 else None
+        g = (1.0 - lamw) * float(lam[0]) / rest if rest > 0.0 else None
         if cls == "full":
             single_idx = [0, 1, 2, 3]
             dep = []
@@ -589,127 +598,7 @@ def verify_optimality(rho, d, tol=1e-8):
     )
 
 
-def _vec_to_json(v):
-    return [[float(x.real), float(x.imag)] for x in v]
-
-
-def _vec_from_json(obj):
-    return np.array([complex(float(x[0]), float(x[1])) for x in obj])
-
-
-def lsd_to_json(d):
-    """JSON-ready dict for a decomposition."""
-    return {
-        "weight": float(d.weight),
-        "rank_class": d.rank_class,
-        "sep": density_to_json(d.sep),
-        "pure": None if d.pure is None else _vec_to_json(d.pure),
-        "xpp": [_vec_to_json(x) for x in d.xpp],
-        "lambdas_pp": [float(x) for x in d.lambdas_pp],
-        "zs": [_vec_to_json(z) for z in d.zs],
-        "phases": [float(x) for x in d.phases],
-    }
-
-
-def lsd_from_json(obj):
-    """Parse the dict form produced by lsd_to_json."""
-    return LSDecomposition(
-        weight=float(obj["weight"]),
-        sep=density_from_json(obj["sep"]),
-        pure=None if obj["pure"] is None else _vec_from_json(obj["pure"]),
-        xpp=tuple(_vec_from_json(x) for x in obj["xpp"]),
-        lambdas_pp=np.array([float(x) for x in obj["lambdas_pp"]]),
-        zs=tuple(_vec_from_json(z) for z in obj["zs"]),
-        rank_class=str(obj["rank_class"]),
-        phases=np.array([float(x) for x in obj["phases"]]),
-    )
-
-
-def report_to_json(rep):
-    """JSON-ready dict for an optimality report."""
-    return {
-        "rank_class": rep.rank_class,
-        "verdict": bool(rep.verdict),
-        "max_residual": float(rep.max_residual),
-        "single": [
-            {
-                "alpha": s.alpha,
-                "lam": s.lam,
-                "measured": s.measured,
-                "residual": s.residual,
-            }
-            for s in rep.single
-        ],
-        "pairwise": [
-            {
-                "alpha": p.alpha,
-                "beta": p.beta,
-                "lam_a": p.lam_a,
-                "lam_b": p.lam_b,
-                "cross": [p.cross.real, p.cross.imag],
-                "diag_a": p.diag_a,
-                "diag_b": p.diag_b,
-                "gamma": p.gamma,
-                "reproduced_a": p.reproduced_a,
-                "reproduced_b": p.reproduced_b,
-                "residual": p.residual,
-            }
-            for p in rep.pairwise
-        ],
-        "structural": [
-            {
-                "name": c.name,
-                "residual": c.residual,
-                "tol": c.tol,
-                "passed": c.passed,
-            }
-            for c in rep.structural
-        ],
-    }
-
-
-def report_from_json(obj):
-    """Parse the dict form produced by report_to_json."""
-    return OptimalityReport(
-        rank_class=str(obj["rank_class"]),
-        verdict=bool(obj["verdict"]),
-        max_residual=float(obj["max_residual"]),
-        single=tuple(
-            SingleCheck(
-                alpha=int(s["alpha"]),
-                lam=float(s["lam"]),
-                measured=float(s["measured"]),
-                residual=float(s["residual"]),
-            )
-            for s in obj["single"]
-        ),
-        pairwise=tuple(
-            PairCheck(
-                alpha=int(p["alpha"]),
-                beta=int(p["beta"]),
-                lam_a=float(p["lam_a"]),
-                lam_b=float(p["lam_b"]),
-                cross=complex(float(p["cross"][0]), float(p["cross"][1])),
-                diag_a=float(p["diag_a"]),
-                diag_b=float(p["diag_b"]),
-                gamma=None if p["gamma"] is None else float(p["gamma"]),
-                reproduced_a=(
-                    None if p["reproduced_a"] is None else float(p["reproduced_a"])
-                ),
-                reproduced_b=(
-                    None if p["reproduced_b"] is None else float(p["reproduced_b"])
-                ),
-                residual=float(p["residual"]),
-            )
-            for p in obj["pairwise"]
-        ),
-        structural=tuple(
-            StructuralCheck(
-                name=str(c["name"]),
-                residual=float(c["residual"]),
-                tol=float(c["tol"]),
-                passed=bool(c["passed"]),
-            )
-            for c in obj["structural"]
-        ),
-    )
+lsd_to_json = to_json
+lsd_from_json = partial(from_json, LSDecomposition)
+report_to_json = to_json
+report_from_json = partial(from_json, OptimalityReport)

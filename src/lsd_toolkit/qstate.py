@@ -2,10 +2,13 @@
 
 Basis order is |uu>, |ud>, |du>, |dd>.  The spin flip conjugates with
 sigma_y (x) sigma_y, which in this basis is the real antidiagonal
-(-1, 1, 1, -1).
+(-1, 1, 1, -1).  The module also holds the JSON codec of every record in
+the package, to_json and from_json.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
+from typing import Annotated, Union, get_args, get_origin
 
 import numpy as np
 
@@ -25,9 +28,17 @@ __all__ = [
     "EigenEnsemble",
     "eigen_ensemble",
     "sample_random",
+    "to_json",
+    "from_json",
     "density_to_json",
     "density_from_json",
 ]
+
+# field annotations naming an array's entry type, which from_json reads,
+# and the JSON types from_json accepts for each scalar field type
+ComplexArray = Annotated[np.ndarray, complex]
+RealArray = Annotated[np.ndarray, float]
+_SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
 SIGMA_YY = np.array(
     [
@@ -47,7 +58,7 @@ class DensityMatrix:
     rejects eigenvalues below -1e-10.
     """
 
-    m: np.ndarray
+    m: ComplexArray = field(metadata={"json": "matrix"})
 
     def __post_init__(self):
         arr = np.array(self.m, dtype=complex)
@@ -168,21 +179,69 @@ def sample_random(seed, rank=4):
     return DensityMatrix(m)
 
 
-def _complex_to_pair(x):
-    return [float(np.real(x)), float(np.imag(x))]
+def _json_key(f):
+    return f.metadata.get("json", f.name)
 
 
-def density_to_json(rho):
-    """JSON-ready dict for a state: 4x4 row-major [re, im] entries."""
-    return {"matrix": [[_complex_to_pair(x) for x in row] for row in rho.m]}
+def to_json(record):
+    """JSON form of a record: a dict with one key per dataclass field.
+
+    Keys follow the declaration order (DensityMatrix.m is written under
+    "matrix").  A complex number becomes [re, im], an array or tuple a
+    list, and a numpy scalar the matching Python number.
+    """
+    if is_dataclass(record):
+        return {
+            _json_key(f): to_json(getattr(record, f.name)) for f in fields(record)
+        }
+    if isinstance(record, np.ndarray):
+        record = record.tolist()
+    if isinstance(record, (list, tuple)):
+        return [to_json(x) for x in record]
+    if record is None or isinstance(record, (bool, str)):
+        return record
+    if isinstance(record, (complex, np.complexfloating)):
+        return [float(record.real), float(record.imag)]
+    if isinstance(record, (int, np.integer)):
+        return int(record)
+    return float(record)
 
 
-def density_from_json(obj):
-    """Parse and validate the dict form produced by density_to_json."""
-    rows = obj["matrix"]
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise ValueError("matrix must be 4x4")
-    m = np.array(
-        [[complex(float(x[0]), float(x[1])) for x in row] for row in rows]
-    )
-    return DensityMatrix(m)
+def from_json(cls, obj):
+    """Inverse of to_json: a value of type cls from its JSON form.
+
+    cls is a dataclass or one of the annotations its fields use:
+    Optional[T], Tuple[T, ...], ComplexArray, RealArray or a scalar type.
+    A scalar of the wrong kind, or a complex entry that is not exactly two
+    numbers, raises ValueError; a missing key raises KeyError, and a list
+    where an object belongs TypeError.  The record's constructor then
+    validates the values.
+    """
+    origin, args = get_origin(cls), get_args(cls)
+    if is_dataclass(cls):
+        return cls(
+            **{f.name: from_json(f.type, obj[_json_key(f)]) for f in fields(cls)}
+        )
+    if origin is Union:
+        return None if obj is None else from_json(args[0], obj)
+    if origin is tuple:
+        return tuple(from_json(args[0], x) for x in obj)
+    if origin is Annotated:
+        # a complex entry is itself a list, so only a list of lists nests
+        if isinstance(obj, list) and (
+            args[1] is not complex or (obj and isinstance(obj[0], list))
+        ):
+            return np.array([from_json(cls, x) for x in obj])
+        return from_json(args[1], obj)
+    if cls is complex:
+        if isinstance(obj, list) and len(obj) == 2:
+            return complex(from_json(float, obj[0]), from_json(float, obj[1]))
+    # bool is an int subclass, but true is not a number on the wire
+    elif isinstance(obj, _SCALARS[cls]) and (cls is bool or not isinstance(obj, bool)):
+        return cls(obj)
+    expected = "[re, im]" if cls is complex else cls.__name__
+    raise ValueError("expected %s, got %r" % (expected, obj))
+
+
+density_to_json = to_json
+density_from_json = partial(from_json, DensityMatrix)

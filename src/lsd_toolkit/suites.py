@@ -6,6 +6,7 @@ command-line verify subcommand and the test battery both run these.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class PropertyResult:
     max_residual: float
     tol: float
     passed: bool
-    first_failure_seed: object
+    first_failure_seed: Optional[int]
 
 
 class _Tracker:
@@ -175,9 +176,10 @@ def run_lsd_suite(n=100, seed=0, tol=None):
     return [t.result() for t in trk]
 
 
-def _random_params(seed, positive=True):
+def _random_params(seed):
+    """Seeded parameters; lambdas on [0.05, 1.05), so none vanishes."""
     rng = np.random.default_rng(seed)
-    lam = np.sort(rng.random(4) + (0.05 if positive else 0.0))[::-1]
+    lam = np.sort(rng.random(4) + 0.05)[::-1]
     return CosetParams(
         lambdas=tuple(lam),
         theta=tuple(rng.uniform(-2.0, 2.0, 2)),

@@ -120,10 +120,13 @@ def wootters_basis(rho):
     return WoottersDecomposition(xs=xs, lambdas=SpectrumLambda(fac.lambdas), u=u)
 
 
+def _concurrence_of(lam):
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
 def concurrence(rho):
     """max(0, lambda1 - lambda2 - lambda3 - lambda4) of the state."""
-    lam = lambda_spectrum(rho).lambdas
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return _concurrence_of(lambda_spectrum(rho).lambdas)
 
 
 def _entropy_of_weights(ws, base):
@@ -140,9 +143,11 @@ def entanglement_of_formation(rho, base=2.0):
     Binary entropy of (1 + sqrt(1 - C^2)) / 2, in bits by default; pass
     base=np.e for nats.
     """
-    c = concurrence(rho)
-    arg = max(0.0, 1.0 - c * c)
-    x = 0.5 + 0.5 * np.sqrt(arg)
+    return _eof_of(concurrence(rho), base)
+
+
+def _eof_of(c, base=2.0):
+    x = 0.5 + 0.5 * np.sqrt(max(0.0, 1.0 - c * c))
     return _entropy_of_weights([x, 1.0 - x], base)
 
 

@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lsd_toolkit import qstate
 from lsd_toolkit.cli import main
 from lsd_toolkit.coset import params_from_json
 from lsd_toolkit.lsd import lsd_from_json, report_from_json, verify_optimality, ls_decompose
@@ -15,7 +18,10 @@ from lsd_toolkit.qstate import (
     density_to_json,
     sample_random,
 )
+from lsd_toolkit.suites import _random_params
+from lsd_toolkit.wootters import concurrence, entanglement_of_formation
 
+REPO = Path(__file__).resolve().parents[1]
 E = np.eye(4)
 PHI_P = (E[:, 0] + E[:, 3]) / np.sqrt(2.0)
 
@@ -67,6 +73,24 @@ class TestAnalyze:
         assert main(["analyze", "--input", werner_file, "--format", "text"]) == 0
         text = capsys.readouterr().out
         assert "concurrence: 0.250000" in text
+
+    def test_one_spectrum_per_run(self, state_file, tmp_path, monkeypatch):
+        raw = qstate.lambda_spectrum_raw
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return raw(m)
+
+        out = tmp_path / "out.json"
+        monkeypatch.setattr(qstate, "lambda_spectrum_raw", counted)
+        assert main(["analyze", "--input", state_file, "--output", str(out)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        obj = json.loads(out.read_text())
+        rho = density_from_json(json.loads(open(state_file).read()))
+        assert obj["concurrence"] == concurrence(rho)
+        assert obj["entanglement_of_formation"] == entanglement_of_formation(rho)
 
     def test_certify_good_state(self, state_file):
         assert main(["analyze", "--input", state_file, "--certify", "--output", "/dev/null"]) == 0
@@ -136,6 +160,11 @@ class TestGenerate:
         for key in ("state", "params", "achieved_spectrum", "trace_factor"):
             assert ja[key] == jb[key]
 
+    def test_seed_draws_the_suite_parameters(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["generate", "--seed", "5", "--output", str(out)]) == 0
+        assert params_from_json(json.loads(out.read_text())["params"]) == _random_params(5)
+
     def test_params_file(self, tmp_path):
         pfile = tmp_path / "p.json"
         pfile.write_text(
@@ -196,6 +225,13 @@ class TestVerify:
         obj = json.loads(out.read_text())
         assert set(obj["suites"].keys()) == {"wootters", "lsd", "coset"}
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejects_fewer_than_one_case(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", n, "--output", "/dev/null"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
     def test_impossible_tol_exits_five(self, capsys):
         rc = main(["verify", "--suite", "lsd", "--n", "4", "--tol", "1e-30", "--output", "/dev/null"])
         assert rc == 5
@@ -229,6 +265,43 @@ class TestErrorPaths:
         assert "NaN" in bad.read_text()
         assert main(["analyze", "--input", str(bad), "--output", "/dev/null"]) == 3
         assert "NotHermitian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [[0.25], [0.25, 0.0, 1.0]])
+    def test_malformed_complex_entry_exits_two(self, tmp_path, capsys, entry):
+        obj = density_to_json(sample_random(1))
+        obj["matrix"][2][2] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["analyze", "--input", str(bad), "--output", "/dev/null"]) == 2
+        assert "[re, im]" in capsys.readouterr().err
+
+    def test_entry_beyond_float_range_exits_two(self, tmp_path):
+        obj = density_to_json(sample_random(1))
+        obj["matrix"][2][2] = [10**400, 0.0]
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["analyze", "--input", str(bad), "--output", "/dev/null"]) == 2
+
+
+def _run_with_src(args):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestUninstalledEntry:
+    def test_python_dash_m(self, werner_file):
+        proc = _run_with_src(["-m", "lsd_toolkit", "analyze", "--input", werner_file])
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["concurrence"] - 0.25) < 1e-10
+
+    @pytest.mark.parametrize(
+        "script", ["entanglement_basics.py", "generator_tour.py", "optimal_split.py"]
+    )
+    def test_demo_runs(self, script):
+        proc = _run_with_src([str(REPO / "demos" / script)])
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConsoleScript:

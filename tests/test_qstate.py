@@ -1,13 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+from lsd_toolkit.coset import CosetParams
 from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace
+from lsd_toolkit.lsd import ls_decompose, verify_optimality
 from lsd_toolkit.qstate import (
     SIGMA_YY,
     DensityMatrix,
     density_from_json,
     density_to_json,
     eigen_ensemble,
+    from_json,
     lambda_spectrum,
     lambda_spectrum_raw,
     sample_random,
@@ -15,8 +20,10 @@ from lsd_toolkit.qstate import (
     spin_flip,
     spin_flip_matrix,
     spin_flip_vec,
+    to_json,
     validate,
 )
+from lsd_toolkit.suites import _random_params, run_lsd_suite, run_wootters_suite
 
 E = np.eye(4)
 PHI_P = (E[:, 0] + E[:, 3]) / np.sqrt(2.0)
@@ -254,3 +261,77 @@ class TestJson:
         obj["matrix"][0][0] = [5.0, 0.0]
         with pytest.raises(NotUnitTrace):
             density_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "entry", [[0.25], [0.25, 0.0, 1.0], ["0.25", 0.0], [True, 0.0], 0.25]
+    )
+    def test_rejects_malformed_complex_entry(self, entry):
+        obj = density_to_json(sample_random(3))
+        obj["matrix"][1][2] = entry
+        with pytest.raises(ValueError):
+            density_from_json(obj)
+
+
+def _signed_zero_state():
+    # every imaginary part is -0.0 and two real parts are -0.0
+    m = np.conj(np.eye(4, dtype=complex) / 4.0)
+    m.real[0, 1] = m.real[1, 0] = -0.0
+    return DensityMatrix(m)
+
+
+def _records():
+    states = [sample_random(s, rank=r) for s, r in ((1, 1), (2, 2), (3, 3), (4, 4))]
+    states += [werner(0.5), werner(0.2), _signed_zero_state()]
+    out = list(states)
+    for rho in states:
+        d = ls_decompose(rho)
+        rep = verify_optimality(rho, d)
+        out += [d, rep, *rep.single, *rep.pairwise, *rep.structural]
+    out += [
+        _random_params(3),
+        CosetParams(lambdas=(0.4, 0.3, 0.2, 0.1), theta=(-0.0, 0.0), xi=(0, 0), phi=(0, -0.0)),
+    ]
+    out += run_wootters_suite(n=2) + run_lsd_suite(n=1, tol=1e-30)
+    return out
+
+
+class TestCodecRoundTrip:
+    def test_byte_identical_for_every_record_type(self):
+        records = _records()
+        kinds = {type(r).__name__ for r in records}
+        assert kinds == {
+            "DensityMatrix",
+            "LSDecomposition",
+            "OptimalityReport",
+            "SingleCheck",
+            "PairCheck",
+            "StructuralCheck",
+            "CosetParams",
+            "PropertyResult",
+        }
+        assert any(p.gamma is not None for p in records if type(p).__name__ == "PairCheck")
+        assert any(
+            getattr(r, "first_failure_seed", None) is not None for r in records
+        )
+        for rec in records:
+            text = json.dumps(to_json(rec))
+            again = from_json(type(rec), json.loads(text))
+            assert json.dumps(to_json(again)) == text
+
+    def test_signed_zeros_survive(self):
+        text = json.dumps(to_json(_signed_zero_state()))
+        assert text.count("-0.0") == 18
+        again = density_from_json(json.loads(text))
+        assert np.signbit(again.m.imag).all()
+        assert json.dumps(to_json(again)) == text
+
+    def test_key_order(self):
+        rho = sample_random(5, rank=3)
+        d = ls_decompose(rho)
+        assert list(to_json(d)) == [
+            "weight", "rank_class", "sep", "pure", "xpp", "lambdas_pp", "zs", "phases",
+        ]
+        assert list(to_json(verify_optimality(rho, d))) == [
+            "rank_class", "verdict", "max_residual", "single", "pairwise", "structural",
+        ]
+        assert list(to_json(rho)) == ["matrix"]
