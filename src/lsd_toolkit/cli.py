@@ -305,9 +305,39 @@ def _build_parser():
     return p
 
 
+# generate options whose value is a comma list of numbers
+_LIST_OPTIONS = ("--lambdas", "--theta", "--xi", "--phi")
+
+
+def _is_number_list(text):
+    try:
+        [float(x) for x in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_lists(argv):
+    """argv with "--theta -1.2,0.3" rewritten as "--theta=-1.2,0.3".
+
+    argparse takes a separate value that starts with "-" for an option
+    unless it is a single plain number, and then reports the list option
+    as missing its argument.
+    """
+    out = []
+    for tok in argv:
+        joins = out and out[-1] in _LIST_OPTIONS and tok.startswith("-")
+        if joins and _is_number_list(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     _setup_logging()
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_lists(argv))
     try:
         return args.func(args)
     except LsdToolkitError as exc:

@@ -57,8 +57,9 @@ ETA_INV = np.diag([-1j, 1.0, -1j, 1.0])
 class CosetParams:
     """Six hyperbolic angles plus a target overlap spectrum.
 
-    lambdas must be non-negative and non-increasing; xi must be
-    non-negative.  theta and phi are unconstrained.
+    Every entry must be finite.  lambdas must be non-negative and
+    non-increasing; xi must be non-negative.  theta and phi are
+    otherwise unconstrained.
     """
 
     lambdas: Tuple[float, ...]
@@ -75,6 +76,8 @@ class CosetParams:
             raise ValueError("lambdas must have length 4")
         if len(th) != 2 or len(xi) != 2 or len(ph) != 2:
             raise ValueError("theta, xi, phi must each have length 2")
+        if not np.all(np.isfinite(lam + th + xi + ph)):
+            raise ValueError("parameters must be finite, got NaN or inf")
         if any(x < 0.0 for x in lam):
             raise ValueError("lambdas must be non-negative")
         if any(lam[i] < lam[i + 1] for i in range(3)):
@@ -204,7 +207,7 @@ def coset_generate(params):
         rho_m = rho_m + np.outer(x, np.conj(x))
     rho = DensityMatrix(rho_m / t)
     xs = tuple(x / np.sqrt(t) for x in xs_raw)
-    mu, v = herm_eig(rho.m)
+    mu, v = rho._eig
     cut = 1e-12 * max(float(mu[0]), 1e-30)
     sup = [j for j in range(4) if float(mu[j]) > cut]
     xmat = np.column_stack(xs)

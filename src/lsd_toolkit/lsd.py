@@ -10,7 +10,7 @@ weight that can sit on that product direction.
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -147,7 +147,7 @@ def _classify(rho, lam):
         return "separable"
     nzero = int(np.sum(lam <= thr))
     if nzero == 3:
-        mu, _ = herm_eig(rho.m)
+        mu, _ = rho._eig
         if mu[1] <= 1e-10:
             return "pure"
         # mixed state whose overlap matrix lost rank; the general split
@@ -176,6 +176,16 @@ def _closure_phases(lam):
     return np.array([0.0, 0.5 * mu, th3, th3])
 
 
+@cache
+def _pure_partner():
+    """Boundary state diag(1/2, 0, 0, 1/2) that pure states are split against.
+
+    Built on first use, not at import; its basis is kept on it, so every
+    pure split after the first reuses both.
+    """
+    return DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
+
+
 def ls_decompose(rho):
     """Maximal separable split of a two-qubit state.
 
@@ -201,7 +211,7 @@ def ls_decompose(rho):
         )
     if cls == "pure":
         psi = w.xs[0] / np.linalg.norm(w.xs[0])
-        sep = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
+        sep = _pure_partner()
         ws = wootters_basis(sep)
         return LSDecomposition(
             weight=0.0,
@@ -491,7 +501,8 @@ def _dependent_pair_record(a, b, za, zb, x1, coeff, g):
 def verify_optimality(rho, d, tol=1e-8):
     """Certificate that a decomposition satisfies the optimality conditions.
 
-    Recomputes the rank class (raising RankMismatch on disagreement),
+    Classifies rho from the basis it shares with ls_decompose (raising
+    RankMismatch when that class differs from the decomposition's),
     checks the structural identities of the split, and verifies the
     Lambda maximality conditions through restricted inverses, with the
     closed forms on the rank-deficient pair branches.  The verdict is True

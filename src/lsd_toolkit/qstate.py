@@ -50,12 +50,21 @@ SIGMA_YY = np.array(
 )
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated 4x4 density matrix.
+    """Validated, immutable 4x4 density matrix.
 
-    Construction checks hermiticity and unit trace within 1e-10 and
-    rejects eigenvalues below -1e-10.
+    Construction copies its input, checks hermiticity and unit trace
+    within 1e-10 and rejects eigenvalues below -1e-10.  The eigenpair of
+    that check is kept on the instance, so the state is eigendecomposed
+    once; wootters_basis keeps its result there too.  Neither is a
+    dataclass field, so to_json and from_json see only m.  m and the
+    kept arrays are read-only.
     """
 
     m: ComplexArray = field(metadata={"json": "matrix"})
@@ -70,10 +79,12 @@ class DensityMatrix:
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > 1e-10:
             raise NotUnitTrace("|trace - 1| = %.3e exceeds 1e-10" % abs(tr - 1.0))
-        w, _ = herm_eig(arr)
+        w, v = herm_eig(arr)
         if w[-1] < -1e-10:
             raise NotPSD("eigenvalue %.3e below -1e-10" % w[-1])
+        _read_only(arr, w, v)
         object.__setattr__(self, "m", arr)
+        object.__setattr__(self, "_eig", (w, v))
 
 
 def validate(m):
@@ -152,10 +163,12 @@ class EigenEnsemble:
 def eigen_ensemble(rho):
     """Eigen-ensemble of a state: v_i = sqrt(mu_i) times the i-th eigenvector.
 
-    Eigenvalues at or below 1e-12 produce exact zero vectors, so later
-    stages can rely on rank-deficient columns being identically zero.
+    Reads the eigenpair the state kept from its validation, so it solves
+    no eigenproblem.  Eigenvalues at or below 1e-12 produce exact zero
+    vectors, so later stages can rely on rank-deficient columns being
+    identically zero.
     """
-    w, v = herm_eig(rho.m)
+    w, v = rho._eig
     vs = []
     for i in range(4):
         if w[i] <= 1e-12:

@@ -11,7 +11,13 @@ import numpy as np
 
 from .errors import NotNormalized
 from .matcore import herm_eig, takagi
-from .qstate import SIGMA_YY, SpectrumLambda, eigen_ensemble, lambda_spectrum
+from .qstate import (
+    SIGMA_YY,
+    SpectrumLambda,
+    _read_only,
+    eigen_ensemble,
+    lambda_spectrum,
+)
 
 __all__ = [
     "TauMatrix",
@@ -101,7 +107,15 @@ def wootters_basis(rho):
     Builds the eigen-ensemble, Takagi-factorizes its spin-flip overlap
     matrix, and rotates the ensemble by conj(u) so that
     <x_i|xtilde_j> = lambda_i delta_ij with lambdas descending.
+
+    The result is kept on rho, with read-only arrays, and every later
+    call on the same state returns it: ls_decompose and
+    verify_optimality share one eigen-ensemble, tau and Takagi
+    factorization.
     """
+    cached = getattr(rho, "_basis", None)
+    if cached is not None:
+        return cached
     ens = eigen_ensemble(rho)
     tau = tau_matrix(ens)
     fac = takagi(tau.tau)
@@ -117,7 +131,10 @@ def wootters_basis(rho):
             x[:, i] = -col
             u[i, :] = -u[i, :]
     xs = tuple(x[:, i] for i in range(4))
-    return WoottersDecomposition(xs=xs, lambdas=SpectrumLambda(fac.lambdas), u=u)
+    w = WoottersDecomposition(xs=xs, lambdas=SpectrumLambda(fac.lambdas), u=u)
+    _read_only(*w.xs, w.lambdas.lambdas, w.u)
+    object.__setattr__(rho, "_basis", w)
+    return w
 
 
 def _concurrence_of(lam):

@@ -208,6 +208,55 @@ class TestGenerate:
         )
         assert rc == 2
 
+    def test_list_starting_with_a_minus_sign(self, tmp_path):
+        # "--theta -1.2,0.3" parses like "--theta=-1.2,0.3"
+        lam = ["--lambdas", "0.4,0.3,0.2,0.1"]
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        angles = ["--theta", "-1.2,0.3", "--xi", "0.5,0.1", "--phi", "-.5,-0.25"]
+        assert main(["generate", *lam, *angles, "--output", str(spaced)]) == 0
+        angles = ["--theta=-1.2,0.3", "--xi", "0.5,0.1", "--phi=-.5,-0.25"]
+        assert main(["generate", *lam, *angles, "--output", str(joined)]) == 0
+        obj = json.loads(spaced.read_text())
+        assert obj["params"]["theta"] == [-1.2, 0.3]
+        assert obj["params"]["phi"] == [-0.5, -0.25]
+        obj.pop("timings")
+        expect = json.loads(joined.read_text())
+        expect.pop("timings")
+        assert obj == expect
+
+    def test_negative_list_still_rejected_where_invalid(self, capsys):
+        rc = main(
+            ["generate", "--lambdas", "0.4,0.3,0.2,0.1", "--xi", "-0.5,0", "--output", "/dev/null"]
+        )
+        assert rc == 2
+        assert "xi angles must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--lambdas", "nan,0.1,0.1,0.1"),
+            ("--lambdas", "inf,0.1,0.1,0.1"),
+            ("--theta", "0,nan"),
+            ("--xi", "inf,0"),
+            ("--xi", "0,-inf"),
+            ("--phi", "-inf,0"),
+        ],
+    )
+    def test_rejects_non_finite_flags(self, flag, value, capsys):
+        argv = ["generate", "--lambdas", "0.4,0.3,0.2,0.1", flag, value]
+        assert main(argv + ["--output", "/dev/null"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_params_file(self, tmp_path, bad, capsys):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(
+            '{"lambdas": [0.4, 0.3, 0.2, 0.1], "theta": [0.0, %s], '
+            '"xi": [0.0, 0.0], "phi": [0.0, 0.0]}' % bad
+        )
+        assert main(["generate", "--params", str(pfile), "--output", "/dev/null"]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes(self, tmp_path):

@@ -215,6 +215,22 @@ class TestCosetParamsValidation:
         with pytest.raises(ValueError):
             CosetParams(lambdas=(0.4, 0.3, 0.2, 0.1), theta=(0,), xi=(0, 0), phi=(0, 0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["lambdas", "theta", "xi", "phi"])
+    def test_rejects_non_finite(self, field, bad):
+        kw = dict(lambdas=[0.4, 0.3, 0.2, 0.1], theta=[0, 0], xi=[0, 0], phi=[0, 0])
+        kw[field][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CosetParams(**kw)
+
+    def test_rejects_non_finite_from_json(self):
+        obj = json.loads(
+            '{"lambdas": [NaN, 0.3, 0.2, 0.1], "theta": [0, 0], '
+            '"xi": [Infinity, 0], "phi": [0, 0]}'
+        )
+        with pytest.raises(ValueError, match="finite"):
+            params_from_json(obj)
+
 
 class TestLocalUnitaryOrbit:
     def test_spectrum_invariance(self):

@@ -18,12 +18,17 @@ from lsd_toolkit.lsd import (
     report_to_json,
     verify_optimality,
 )
+from lsd_toolkit import coset, lsd, matcore, qstate, wootters
+from lsd_toolkit.coset import local_unitary_action
 from lsd_toolkit.qstate import (
     DensityMatrix,
+    from_json,
     lambda_spectrum,
     sample_random,
     spin_flip_vec,
+    to_json,
 )
+from lsd_toolkit.suites import _random_params
 from lsd_toolkit.wootters import concurrence, wootters_basis
 
 E = np.eye(4)
@@ -367,3 +372,98 @@ class TestJsonRoundTrip:
             assert a.name == b.name
             assert a.passed == b.passed
             assert a.residual == b.residual
+
+
+def _counted(monkeypatch, module, name, calls=None):
+    calls = [] if calls is None else calls
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOncePerState:
+    """Each state is eigendecomposed once and keeps its Wootters basis."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_split_and_certificate_share_one_takagi(self, rank, monkeypatch):
+        ls_decompose(sample_random(0, rank=1))  # builds the pure-state partner
+        rho = sample_random(21, rank=rank)
+        calls = _counted(monkeypatch, wootters, "takagi")
+        rep = verify_optimality(rho, ls_decompose(rho))
+        assert rep.verdict
+        assert len(calls) == 1
+
+    def test_state_is_eigendecomposed_at_construction_only(self, monkeypatch):
+        ls_decompose(sample_random(0, rank=1))
+        calls = []
+        for module in (matcore, qstate, lsd):
+            _counted(monkeypatch, module, "herm_eig", calls)
+        for rank in (1, 2, 3, 4):
+            rho = sample_random(30 + rank, rank=rank)
+            assert np.array_equal(calls[-1][0], rho.m)
+            before = len(calls)
+            verify_optimality(rho, ls_decompose(rho))
+            assert len(calls) > before
+            assert not any(np.array_equal(a[0], rho.m) for a in calls[before:])
+
+    def test_generator_solves_its_state_once(self, monkeypatch):
+        calls = []
+        for module in (qstate, coset):
+            _counted(monkeypatch, module, "herm_eig", calls)
+        res = coset.coset_generate(_random_params(3))
+        assert sum(np.array_equal(a[0], res.rho.m) for a in calls) == 1
+
+    def test_arrays_are_read_only_and_the_input_is_not(self):
+        arr = sample_random(3, rank=4).m.copy()
+        rho = DensityMatrix(arr)
+        arr[0, 0] += 1.0
+        assert arr.flags.writeable
+        assert rho.m[0, 0] != arr[0, 0]
+        w = wootters_basis(rho)
+        for a in (rho.m, w.u, w.lambdas.lambdas, *w.xs):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_basis_is_kept(self):
+        rho = sample_random(4, rank=3)
+        assert wootters_basis(rho) is wootters_basis(rho)
+
+    def test_every_instance_has_its_own_basis(self):
+        rho = sample_random(5, rank=4)
+        w = wootters_basis(rho)
+        u1 = np.array([[np.exp(0.3j), 0.0], [0.0, np.exp(-0.3j)]])
+        u2 = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+        moved = local_unitary_action(u1, u2, rho)
+        same = DensityMatrix(rho.m)
+        for other in (moved, same):
+            wo = wootters_basis(other)
+            assert wo is not w
+            total = sum(np.outer(x, np.conj(x)) for x in wo.xs)
+            assert np.max(np.abs(total - other.m)) < 1e-12
+        x = np.column_stack(w.xs)
+        assert np.array_equal(np.column_stack(wootters_basis(same).xs), x)
+        assert np.max(np.abs(np.column_stack(wootters_basis(moved).xs) - x)) > 1e-3
+
+    def test_json_sees_the_matrix_only(self):
+        rho = sample_random(6, rank=4)
+        verify_optimality(rho, ls_decompose(rho))
+        obj = to_json(rho)
+        assert list(obj) == ["matrix"]
+        assert [f.name for f in dataclasses.fields(rho)] == ["m"]
+        again = from_json(DensityMatrix, json.loads(json.dumps(obj)))
+        assert np.array_equal(again.m, rho.m)
+
+    def test_rank_mismatch_with_both_bases_kept(self):
+        rho_a = sample_random(13, rank=2)
+        rho_b = sample_random(1, rank=4)
+        d_a = ls_decompose(rho_a)
+        verify_optimality(rho_b, ls_decompose(rho_b))
+        with pytest.raises(RankMismatch):
+            verify_optimality(rho_b, d_a)
+        assert verify_optimality(rho_a, d_a).verdict
