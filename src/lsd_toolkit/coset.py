@@ -90,7 +90,7 @@ class CosetParams:
         object.__setattr__(self, "phi", ph)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XMatrix:
     """Columns orthonormal under the spin-flip bilinear form, X^T S X = I."""
 
@@ -106,7 +106,7 @@ class XMatrix:
         object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YMatrix:
     """Complex orthogonal matrix, Y^T Y = I."""
 

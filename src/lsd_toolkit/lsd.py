@@ -66,7 +66,7 @@ DEFAULT_PHASES = np.array([0.0, -np.pi / 2.0, -np.pi / 2.0, -np.pi / 2.0])
 _RANK_CLASSES = ("full", "rank3", "rank2", "pure", "separable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LSDecomposition:
     """Split of a state into a separable part and at most one pure part.
 
@@ -392,10 +392,6 @@ class OptimalityReport:
     structural: Tuple[StructuralCheck, ...]
 
 
-def _sandwich(minv, u, v):
-    return complex(np.conj(u) @ minv @ v)
-
-
 def _parallel(u, v):
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
@@ -404,52 +400,76 @@ def _parallel(u, v):
     return abs(np.vdot(u, v)) / (nu * nv) > 1.0 - 1e-10
 
 
-def _single_record(alpha, z, anchor, coeff):
-    lam_a = float(np.vdot(z, z).real)
-    if anchor is None:
-        basis = dual_basis([z])
-        minv = restricted_inverse(np.array([[lam_a]]), basis)
-    else:
-        basis = dual_basis([z, anchor])
-        minv = restricted_inverse(np.diag([lam_a, coeff]).astype(complex), basis)
-    measured = 1.0 / _sandwich(minv, z, z).real
-    return SingleCheck(
-        alpha=alpha, lam=lam_a, measured=measured, residual=abs(measured - lam_a)
-    )
+# records of the entangled classes: the singles, the independent pairs and
+# the pairs tied by z_a + z_b = x''_1, which get the closed-form check
+_ENTANGLED_RECORDS = {
+    "full": ((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), ()),
+    "rank3": ((0, 1, 2, 3), ((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 3), (1, 2))),
+    "rank2": ((0, 2), (), ((0, 2),)),
+}
 
 
-def _independent_pair_record(a, b, za, zb, anchor, coeff):
-    lam_a = float(np.vdot(za, za).real)
-    lam_b = float(np.vdot(zb, zb).real)
-    if anchor is None:
-        basis = dual_basis([za, zb])
-        minv = restricted_inverse(np.diag([lam_a, lam_b]).astype(complex), basis)
-    else:
-        basis = dual_basis([za, zb, anchor])
-        minv = restricted_inverse(
-            np.diag([lam_a, lam_b, coeff]).astype(complex), basis
+def _sandwiches(minv, u, v):
+    """<u_i|minv_i|v_i> for each slice i of the stacks u, v (K, 4) and minv."""
+    return (np.conj(u)[:, None, :] @ minv @ v[:, :, None])[:, 0, 0]
+
+
+def _diagonal_inverses(zs, lams, groups, anchor, coeff):
+    """Restricted inverses for the families (z_a for a in group, then anchor).
+
+    Each family's coefficients are diag(Lambda_a ..., coeff); all families
+    have the same size and run as one stack.
+    """
+    fams = [[zs[a] for a in grp] for grp in groups]
+    diags = [[lams[a] for a in grp] for grp in groups]
+    if anchor is not None:
+        fams = [f + [anchor] for f in fams]
+        diags = [c + [coeff] for c in diags]
+    k = len(diags[0])
+    coeffs = np.zeros((len(groups), k, k), dtype=complex)
+    coeffs[:, range(k), range(k)] = diags
+    return restricted_inverse(coeffs, dual_basis(np.array(fams).swapaxes(1, 2)))
+
+
+def _single_records(zs, lams, idx, anchor, coeff):
+    """One SingleCheck per alpha in idx: 1 / <z_a|M^-1|z_a> against Lambda_a."""
+    z = np.array([zs[a] for a in idx])
+    minv = _diagonal_inverses(zs, lams, [[a] for a in idx], anchor, coeff)
+    measured = 1.0 / _sandwiches(minv, z, z).real
+    return [
+        SingleCheck(alpha=a, lam=lams[a], measured=m, residual=abs(m - lams[a]))
+        for a, m in zip(idx, measured.tolist())
+    ]
+
+
+def _independent_pair_records(zs, lams, pairs, anchor, coeff):
+    """One PairCheck per (a, b): a zero cross term and both diagonals."""
+    za = np.array([zs[a] for a, _ in pairs])
+    zb = np.array([zs[b] for _, b in pairs])
+    minv = _diagonal_inverses(zs, lams, pairs, anchor, coeff)
+    cross = _sandwiches(minv, za, zb).tolist()
+    diag_a = (1.0 / _sandwiches(minv, za, za).real).tolist()
+    diag_b = (1.0 / _sandwiches(minv, zb, zb).real).tolist()
+    return [
+        PairCheck(
+            alpha=a,
+            beta=b,
+            lam_a=lams[a],
+            lam_b=lams[b],
+            cross=c,
+            diag_a=da,
+            diag_b=db,
+            gamma=None,
+            reproduced_a=None,
+            reproduced_b=None,
+            residual=max(abs(c), abs(da - lams[a]), abs(db - lams[b])),
         )
-    cross = _sandwich(minv, za, zb)
-    diag_a = 1.0 / _sandwich(minv, za, za).real
-    diag_b = 1.0 / _sandwich(minv, zb, zb).real
-    residual = max(abs(cross), abs(diag_a - lam_a), abs(diag_b - lam_b))
-    return PairCheck(
-        alpha=a,
-        beta=b,
-        lam_a=lam_a,
-        lam_b=lam_b,
-        cross=cross,
-        diag_a=diag_a,
-        diag_b=diag_b,
-        gamma=None,
-        reproduced_a=None,
-        reproduced_b=None,
-        residual=residual,
-    )
+        for (a, b), c, da, db in zip(pairs, cross, diag_a, diag_b)
+    ]
 
 
-def _dependent_pair_record(a, b, za, zb, x1, coeff, g):
-    """Closed-form check for a pair tied by z_a + z_b = x''_1.
+def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
+    """Closed-form checks for pairs tied by z_a + z_b = x''_1.
 
     The coefficient matrix gains the rank-one block g * ones(2, 2); its
     inverse has determinant normalizer Gamma = lam_a lam_b +
@@ -457,45 +477,55 @@ def _dependent_pair_record(a, b, za, zb, x1, coeff, g):
     extracted coefficients of the explicit 4x4 operator, and the weights
     are then reproduced from the measured elements alone.
     """
-    lam_a = float(np.vdot(za, za).real)
-    lam_b = float(np.vdot(zb, zb).real)
-    basis = dual_basis([za, zb])
+    za = np.array([zs[a] for a, _ in pairs])
+    zb = np.array([zs[b] for _, b in pairs])
+    la = np.array([lams[a] for a, _ in pairs])[:, None, None]
+    lb = np.array([lams[b] for _, b in pairs])[:, None, None]
+    basis = dual_basis(np.stack([za, zb], axis=2))
     mmat = (
-        lam_a * np.outer(za, np.conj(za))
-        + lam_b * np.outer(zb, np.conj(zb))
+        la * (za[:, :, None] * np.conj(za)[:, None, :])
+        + lb * (zb[:, :, None] * np.conj(zb)[:, None, :])
         + coeff * np.outer(x1, np.conj(x1))
     )
-    phihat = np.column_stack(basis.dual)
-    a_num = phihat.conj().T @ mmat @ phihat
+    phihat = basis.dual
+    a_num = phihat.conj().swapaxes(1, 2) @ mmat @ phihat
     minv = restricted_inverse(a_num, basis)
-    e_meas = np.array(
+    e_all = np.stack(
         [
-            [_sandwich(minv, za, za), _sandwich(minv, za, zb)],
-            [_sandwich(minv, zb, za), _sandwich(minv, zb, zb)],
-        ]
-    )
-    gamma = lam_a * lam_b + (lam_a + lam_b) * g
-    e_pred = (
-        np.array([[lam_b + g, -g], [-g, lam_a + g]], dtype=complex) / gamma
-    )
-    res_mat = float(np.max(np.abs(e_meas - e_pred)))
-    det = e_meas[0, 0].real * e_meas[1, 1].real - abs(e_meas[0, 1]) ** 2
-    rep_a = (e_meas[1, 1].real - abs(e_meas[0, 1])) / det
-    rep_b = (e_meas[0, 0].real - abs(e_meas[0, 1])) / det
-    residual = max(res_mat, abs(rep_a - lam_a), abs(rep_b - lam_b))
-    return PairCheck(
-        alpha=a,
-        beta=b,
-        lam_a=lam_a,
-        lam_b=lam_b,
-        cross=complex(e_meas[0, 1]),
-        diag_a=1.0 / e_meas[0, 0].real,
-        diag_b=1.0 / e_meas[1, 1].real,
-        gamma=float(gamma),
-        reproduced_a=float(rep_a),
-        reproduced_b=float(rep_b),
-        residual=residual,
-    )
+            _sandwiches(minv, za, za),
+            _sandwiches(minv, za, zb),
+            _sandwiches(minv, zb, za),
+            _sandwiches(minv, zb, zb),
+        ],
+        axis=1,
+    ).reshape(-1, 2, 2)
+    out = []
+    for (a, b), e_meas in zip(pairs, e_all):
+        lam_a, lam_b = lams[a], lams[b]
+        gamma = lam_a * lam_b + (lam_a + lam_b) * g
+        e_pred = (
+            np.array([[lam_b + g, -g], [-g, lam_a + g]], dtype=complex) / gamma
+        )
+        res_mat = float(np.max(np.abs(e_meas - e_pred)))
+        det = e_meas[0, 0].real * e_meas[1, 1].real - abs(e_meas[0, 1]) ** 2
+        rep_a = (e_meas[1, 1].real - abs(e_meas[0, 1])) / det
+        rep_b = (e_meas[0, 0].real - abs(e_meas[0, 1])) / det
+        out.append(
+            PairCheck(
+                alpha=a,
+                beta=b,
+                lam_a=lam_a,
+                lam_b=lam_b,
+                cross=complex(e_meas[0, 1]),
+                diag_a=1.0 / e_meas[0, 0].real,
+                diag_b=1.0 / e_meas[1, 1].real,
+                gamma=float(gamma),
+                reproduced_a=float(rep_a),
+                reproduced_b=float(rep_b),
+                residual=max(res_mat, abs(rep_a - lam_a), abs(rep_b - lam_b)),
+            )
+        )
+    return out
 
 
 def verify_optimality(rho, d, tol=1e-8):
@@ -505,9 +535,12 @@ def verify_optimality(rho, d, tol=1e-8):
     RankMismatch when that class differs from the decomposition's),
     checks the structural identities of the split, and verifies the
     Lambda maximality conditions through restricted inverses, with the
-    closed forms on the rank-deficient pair branches.  The verdict is True
-    when every check lands within tol and the separable part passes the
-    partial-transpose test.
+    closed forms on the rank-deficient pair branches.  Each record family
+    (the singles, the independent pairs, the closed-form pairs) runs as
+    one stack through dual_basis and restricted_inverse, so a certificate
+    takes at most three batched inverses of each kind.  The verdict is
+    True when every check lands within tol and the separable part passes
+    the partial-transpose test.
     """
     w = wootters_basis(rho)
     lam = w.lambdas.lambdas
@@ -550,47 +583,33 @@ def verify_optimality(rho, d, tol=1e-8):
         )
     )
 
-    singles = []
-    pairs = []
     zs = d.zs
+    lams = [float(np.vdot(z, z).real) for z in zs]
+    anchor = None
+    indep, dep = (), ()
     if cls == "separable":
-        live = [a for a in range(4) if float(np.vdot(zs[a], zs[a]).real) > 1e-14]
-        for a in live:
-            singles.append(_single_record(a, zs[a], None, None))
-        for i, a in enumerate(live):
-            for b in live[i + 1 :]:
-                if _parallel(zs[a], zs[b]):
-                    continue
-                pairs.append(_independent_pair_record(a, b, zs[a], zs[b], None, None))
+        single_idx = [a for a in range(4) if lams[a] > 1e-14]
+        indep = [
+            (a, b)
+            for i, a in enumerate(single_idx)
+            for b in single_idx[i + 1 :]
+            if not _parallel(zs[a], zs[b])
+        ]
     elif cls == "pure":
-        distinct = []
+        anchor = d.pure
+        single_idx = []
         for a in range(4):
-            if not any(_parallel(zs[a], zs[b]) for b in distinct):
-                distinct.append(a)
-        for a in distinct:
-            singles.append(_single_record(a, zs[a], d.pure, coeff))
+            if not any(_parallel(zs[a], zs[b]) for b in single_idx):
+                single_idx.append(a)
         # pairwise conditions are vacuous at weight zero
     else:
-        g = (1.0 - lamw) * float(lam[0]) / rest if rest > 0.0 else None
-        if cls == "full":
-            single_idx = [0, 1, 2, 3]
-            dep = []
-            indep = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        elif cls == "rank3":
-            single_idx = [0, 1, 2, 3]
-            dep = [(0, 3), (1, 2)]
-            indep = [(0, 1), (0, 2), (1, 3), (2, 3)]
-        else:
-            single_idx = [0, 2]
-            dep = [(0, 2)]
-            indep = []
-        for a in single_idx:
-            singles.append(_single_record(a, zs[a], x1, coeff))
-        for a, b in indep:
-            pairs.append(_independent_pair_record(a, b, zs[a], zs[b], x1, coeff))
-        if g is not None:
-            for a, b in dep:
-                pairs.append(_dependent_pair_record(a, b, zs[a], zs[b], x1, coeff, g))
+        anchor = x1
+        single_idx, indep, dep = _ENTANGLED_RECORDS[cls]
+    singles = _single_records(zs, lams, single_idx, anchor, coeff) if single_idx else []
+    pairs = _independent_pair_records(zs, lams, indep, anchor, coeff) if indep else []
+    if dep and rest > 0.0:
+        g = (1.0 - lamw) * float(lam[0]) / rest
+        pairs += _dependent_pair_records(zs, lams, dep, x1, coeff, g)
 
     residuals = [c.residual for c in checks]
     residuals += [s.residual for s in singles]

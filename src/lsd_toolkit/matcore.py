@@ -6,7 +6,10 @@ clusters), positive semidefinite square roots, Takagi factorization of
 complex symmetric matrices, a real 2x2 singular value decomposition with
 proper rotations, and dual-basis / restricted-inverse helpers.
 Everything is sized for the 2x2 and 4x4 matrices used elsewhere in the
-package, and every eigenvalue in the package comes from herm_eig.
+package.  Every eigenpair in the package comes from herm_eig.  The dual
+basis and the restricted inverse work on stacks of families and test
+their conditioning with eigenvalues alone, from one batched eigvalsh call
+per stack behind the same finiteness and hermiticity checks as herm_eig.
 
 The trailing lambdas of a low-rank state come out as exact zeros not
 because of the solver but because lambda_spectrum_raw and eigen_ensemble
@@ -54,22 +57,40 @@ def herm_eig(h, tol=1e-10):
     a = np.array(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("herm_eig expects a square matrix")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    # checked first: the residual test below lets non-finite input through,
-    # since NaN compares False and a diagonal inf*1j gives res = scale = inf
-    if not np.all(np.isfinite(a)):
-        raise NotHermitian("matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    res = float(np.max(np.abs(a - a.conj().T)))
-    if res > tol * scale:
-        raise NotHermitian("max|h - h^dag| = %.3e exceeds %.3e" % (res, tol * scale))
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(a, tol))
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     _canonicalize_clusters(w, v)
     return w, v
+
+
+def _hermitian_part(a, tol=1e-10):
+    """(a + a^dag) / 2 of a matrix or a stack (..., n, n), after checks.
+
+    Raises NotHermitian when an entry is not finite, or when a slice's
+    max|a - a^dag| exceeds tol relative to the larger of 1 and its largest
+    entry magnitude; the first such slice is the one reported.
+    """
+    # checked first: the residual test below lets non-finite input through,
+    # since NaN compares False and a diagonal inf*1j gives res = scale = inf
+    if not np.all(np.isfinite(a)):
+        raise NotHermitian("matrix has non-finite entries")
+    ah = a.conj().swapaxes(-1, -2)
+    diff = np.abs(a - ah)
+    # every slice's bound is at least tol, so only a larger residual needs
+    # the per-slice scales
+    if diff.max() > tol:
+        res = diff.max(axis=(-2, -1)).reshape(-1)
+        bound = tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1))).reshape(-1)
+        bad = np.flatnonzero(res > bound)
+        if bad.size:
+            i = bad[0]
+            raise NotHermitian(
+                "max|h - h^dag| = %.3e exceeds %.3e" % (res[i], bound[i])
+            )
+    return (a + ah) / 2.0
 
 
 def _canonicalize_clusters(w, v):
@@ -112,7 +133,7 @@ def psd_sqrt(p, tol=1e-10):
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TakagiFactorization:
     """Unitary u and non-negative lambdas with u @ tau @ u.T = diag(lambdas)."""
 
@@ -241,36 +262,79 @@ def svd2_real(c):
     return o1, d, o2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualBasis:
-    """Primal vectors and duals with <dual_i|primal_j> = delta_ij."""
+    """Primal vectors and duals with <dual_i|primal_j> = delta_ij.
+
+    For one family, primal and dual are tuples of its k vectors; for a
+    stack of K families, arrays of shape (K, n, k) with the vectors as
+    columns.
+    """
 
     primal: tuple
     dual: tuple
 
 
-def dual_basis(vectors):
-    """Dual frame of a linearly independent family of vectors.
+def _reciprocal_conditions(m):
+    """Smallest over largest eigenvalue of each slice of a Hermitian stack.
 
-    The duals reproduce coefficients on the span: for any v in the span,
-    v = sum_i <dual_i|v> primal_i.  Raises DependentVectors when the
-    reciprocal condition number of the Gram matrix drops below 1e-12.
+    One eigvalsh call behind herm_eig's checks.  A negative smallest
+    eigenvalue counts as 0, and so does a slice whose largest is not
+    positive.
     """
-    vecs = [np.array(v, dtype=complex).reshape(-1) for v in vectors]
-    if not vecs:
-        raise ValueError("dual_basis expects at least one vector")
-    phi = np.column_stack(vecs)
-    gram = phi.conj().T @ phi
-    w, _ = herm_eig(gram)
-    top = float(w[0])
-    bottom = max(float(w[-1]), 0.0)
-    if top <= 0.0 or bottom / top < 1e-12:
-        rc = bottom / top if top > 0.0 else 0.0
-        raise DependentVectors("gram reciprocal condition %.3e below 1e-12" % rc)
+    w = np.linalg.eigvalsh(_hermitian_part(m))
+    top = w[:, -1]
+    bottom = np.maximum(w[:, 0], 0.0)
+    return np.divide(bottom, top, out=np.zeros_like(top), where=top > 0.0)
+
+
+def _gram(x):
+    """x^dag x of each slice of a stack.
+
+    A non-finite x gives a non-finite product without a warning, and the
+    condition test then raises NotHermitian for it.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return x.conj().swapaxes(1, 2) @ x
+
+
+def _raise_first_below(rc, error, message):
+    bad = np.flatnonzero(rc < 1e-12)
+    if bad.size:
+        raise error(message % rc[bad[0]])
+
+
+def dual_basis(vectors):
+    """Dual frame of a linearly independent family of vectors, or of a stack.
+
+    vectors is a sequence of k vectors, or an array of shape (K, n, k)
+    holding K families as columns.  The duals reproduce coefficients on
+    the span: for any v in the span, v = sum_i <dual_i|v> primal_i.  A
+    stack takes one batched Gram product, one batched condition test and
+    one batched inverse; a sequence is a stack of one.  Raises
+    DependentVectors, for the first such family, when the reciprocal
+    condition number of a Gram matrix drops below 1e-12.
+    """
+    stacked = isinstance(vectors, np.ndarray) and vectors.ndim == 3
+    if stacked:
+        phi = np.array(vectors, dtype=complex, order="C")
+    else:
+        vecs = [np.array(v, dtype=complex).reshape(-1) for v in vectors]
+        if not vecs:
+            raise ValueError("dual_basis expects at least one vector")
+        phi = np.column_stack(vecs)[None]
+    gram = _gram(phi)
+    _raise_first_below(
+        _reciprocal_conditions(gram),
+        DependentVectors,
+        "gram reciprocal condition %.3e below 1e-12",
+    )
     phihat = phi @ np.linalg.inv(gram)
+    if stacked:
+        return DualBasis(primal=phi, dual=phihat)
     return DualBasis(
         primal=tuple(vecs),
-        dual=tuple(phihat[:, k] for k in range(phihat.shape[1])),
+        dual=tuple(phihat[0, :, k] for k in range(phihat.shape[2])),
     )
 
 
@@ -278,20 +342,23 @@ def restricted_inverse(coeffs, basis):
     """Inverse on a span of M = sum_ij coeffs[i,j] |primal_i><primal_j|.
 
     Returns the matrix sum_ij inv(coeffs)[i,j] |dual_i><dual_j|, which
-    satisfies M @ result = identity on span(primal).  Raises
-    SingularCoefficients when the reciprocal condition number of coeffs
-    drops below 1e-12.
+    satisfies M @ result = identity on span(primal).  For a stacked basis,
+    coeffs has shape (K, k, k) and the result (K, n, n), from one batched
+    condition test and one batched inverse.  Raises SingularCoefficients,
+    for the first such block, when the reciprocal condition number of
+    coeffs drops below 1e-12.
     """
     a = np.array(coeffs, dtype=complex)
-    k = len(basis.primal)
-    if a.shape != (k, k):
+    stacked = isinstance(basis.dual, np.ndarray)
+    phihat = basis.dual if stacked else np.column_stack(basis.dual)[None]
+    k = phihat.shape[2]
+    if a.shape != ((phihat.shape[0], k, k) if stacked else (k, k)):
         raise ValueError("coefficient matrix shape does not match the basis")
-    w, _ = herm_eig(a.conj().T @ a)
-    top = float(w[0])
-    bottom = max(float(w[-1]), 0.0)
-    if top <= 0.0 or np.sqrt(bottom / top) < 1e-12:
-        rc = np.sqrt(bottom / top) if top > 0.0 else 0.0
-        raise SingularCoefficients("reciprocal condition %.3e below 1e-12" % rc)
-    ainv = np.linalg.inv(a)
-    phihat = np.column_stack(basis.dual)
-    return phihat @ ainv @ phihat.conj().T
+    if not stacked:
+        a = a[None]
+    rc = np.sqrt(_reciprocal_conditions(_gram(a)))
+    _raise_first_below(
+        rc, SingularCoefficients, "reciprocal condition %.3e below 1e-12"
+    )
+    minv = phihat @ np.linalg.inv(a) @ phihat.conj().swapaxes(1, 2)
+    return minv if stacked else minv[0]

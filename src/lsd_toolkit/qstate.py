@@ -55,7 +55,7 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated, immutable 4x4 density matrix.
 
@@ -64,7 +64,8 @@ class DensityMatrix:
     that check is kept on the instance, so the state is eigendecomposed
     once; wootters_basis keeps its result there too.  Neither is a
     dataclass field, so to_json and from_json see only m.  m and the
-    kept arrays are read-only.
+    kept arrays are read-only.  Like every record that holds arrays, a
+    state compares and hashes by identity.
     """
 
     m: ComplexArray = field(metadata={"json": "matrix"})
@@ -73,6 +74,8 @@ class DensityMatrix:
         arr = np.array(self.m, dtype=complex)
         if arr.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
+        if not np.all(np.isfinite(arr)):
+            raise NotHermitian("matrix has non-finite entries")
         herm = float(np.max(np.abs(arr - arr.conj().T)))
         if herm > 1e-10:
             raise NotHermitian("max|m - m^dag| = %.3e exceeds 1e-10" % herm)
@@ -107,7 +110,7 @@ def spin_flip(rho):
     return spin_flip_matrix(rho.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumLambda:
     """Descending non-negative lambda spectrum of a two-qubit state."""
 
@@ -153,7 +156,7 @@ def lambda_spectrum(rho):
     return SpectrumLambda(lambda_spectrum_raw(rho.m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenEnsemble:
     """Subnormalized eigenvectors v_i with sum |v_i><v_i| equal to the state."""
 

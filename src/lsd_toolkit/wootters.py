@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TauMatrix:
     """Symmetric spin-flip overlap matrix tau_ij = <v_i|vtilde_j>."""
 
@@ -53,7 +53,7 @@ def tau_matrix(ens):
     return TauMatrix(tau=tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WoottersDecomposition:
     """Four vectors x_i with <x_i|xtilde_j> = lambda_i delta_ij.
 

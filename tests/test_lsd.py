@@ -50,6 +50,11 @@ def bell_diagonal(ps):
     return DensityMatrix(m)
 
 
+def pure_state():
+    psi = np.sqrt(0.9) * E[:, 0] + np.sqrt(0.1) * E[:, 3]
+    return DensityMatrix(np.outer(psi, psi))
+
+
 def exotic_rank2():
     # rank-2 state whose overlap matrix has rank 1 only
     return DensityMatrix(
@@ -333,6 +338,186 @@ class TestVerifyOptimality:
         assert not rep.verdict
 
 
+def _ref_sandwich(minv, u, v):
+    return complex(np.conj(u) @ minv @ v)
+
+
+def _ref_single(alpha, z, anchor, coeff):
+    lam_a = float(np.vdot(z, z).real)
+    if anchor is None:
+        basis = matcore.dual_basis([z])
+        minv = matcore.restricted_inverse(np.array([[lam_a]]), basis)
+    else:
+        basis = matcore.dual_basis([z, anchor])
+        minv = matcore.restricted_inverse(
+            np.diag([lam_a, coeff]).astype(complex), basis
+        )
+    measured = 1.0 / _ref_sandwich(minv, z, z).real
+    return lsd.SingleCheck(
+        alpha=alpha, lam=lam_a, measured=measured, residual=abs(measured - lam_a)
+    )
+
+
+def _ref_pair(a, b, za, zb, anchor, coeff):
+    lam_a = float(np.vdot(za, za).real)
+    lam_b = float(np.vdot(zb, zb).real)
+    if anchor is None:
+        basis = matcore.dual_basis([za, zb])
+        coeffs = np.diag([lam_a, lam_b])
+    else:
+        basis = matcore.dual_basis([za, zb, anchor])
+        coeffs = np.diag([lam_a, lam_b, coeff])
+    minv = matcore.restricted_inverse(coeffs.astype(complex), basis)
+    cross = _ref_sandwich(minv, za, zb)
+    diag_a = 1.0 / _ref_sandwich(minv, za, za).real
+    diag_b = 1.0 / _ref_sandwich(minv, zb, zb).real
+    return lsd.PairCheck(
+        alpha=a,
+        beta=b,
+        lam_a=lam_a,
+        lam_b=lam_b,
+        cross=cross,
+        diag_a=diag_a,
+        diag_b=diag_b,
+        gamma=None,
+        reproduced_a=None,
+        reproduced_b=None,
+        residual=max(abs(cross), abs(diag_a - lam_a), abs(diag_b - lam_b)),
+    )
+
+
+def _ref_dependent_pair(a, b, za, zb, x1, coeff, g):
+    lam_a = float(np.vdot(za, za).real)
+    lam_b = float(np.vdot(zb, zb).real)
+    basis = matcore.dual_basis([za, zb])
+    mmat = (
+        lam_a * np.outer(za, np.conj(za))
+        + lam_b * np.outer(zb, np.conj(zb))
+        + coeff * np.outer(x1, np.conj(x1))
+    )
+    phihat = np.column_stack(basis.dual)
+    minv = matcore.restricted_inverse(phihat.conj().T @ mmat @ phihat, basis)
+    e_meas = np.array(
+        [
+            [_ref_sandwich(minv, za, za), _ref_sandwich(minv, za, zb)],
+            [_ref_sandwich(minv, zb, za), _ref_sandwich(minv, zb, zb)],
+        ]
+    )
+    gamma = lam_a * lam_b + (lam_a + lam_b) * g
+    e_pred = np.array([[lam_b + g, -g], [-g, lam_a + g]], dtype=complex) / gamma
+    res_mat = float(np.max(np.abs(e_meas - e_pred)))
+    det = e_meas[0, 0].real * e_meas[1, 1].real - abs(e_meas[0, 1]) ** 2
+    rep_a = (e_meas[1, 1].real - abs(e_meas[0, 1])) / det
+    rep_b = (e_meas[0, 0].real - abs(e_meas[0, 1])) / det
+    return lsd.PairCheck(
+        alpha=a,
+        beta=b,
+        lam_a=lam_a,
+        lam_b=lam_b,
+        cross=complex(e_meas[0, 1]),
+        diag_a=1.0 / e_meas[0, 0].real,
+        diag_b=1.0 / e_meas[1, 1].real,
+        gamma=float(gamma),
+        reproduced_a=float(rep_a),
+        reproduced_b=float(rep_b),
+        residual=max(res_mat, abs(rep_a - lam_a), abs(rep_b - lam_b)),
+    )
+
+
+def _ref_records(rho, d):
+    """The certificate's records, one scalar dual_basis and
+    restricted_inverse per record, in the order they are reported."""
+    w = wootters_basis(rho)
+    x1 = w.xs[0]
+    zs = d.zs
+    lamw = float(d.weight)
+    coeff = (1.0 - lamw) / lamw if lamw > 1e-12 else (1.0 - lamw)
+    parallel = lsd._parallel
+    singles, pairs = [], []
+    if d.rank_class == "separable":
+        live = [a for a in range(4) if float(np.vdot(zs[a], zs[a]).real) > 1e-14]
+        for a in live:
+            singles.append(_ref_single(a, zs[a], None, None))
+        for i, a in enumerate(live):
+            for b in live[i + 1 :]:
+                if not parallel(zs[a], zs[b]):
+                    pairs.append(_ref_pair(a, b, zs[a], zs[b], None, None))
+    elif d.rank_class == "pure":
+        distinct = []
+        for a in range(4):
+            if not any(parallel(zs[a], zs[b]) for b in distinct):
+                distinct.append(a)
+        for a in distinct:
+            singles.append(_ref_single(a, zs[a], d.pure, coeff))
+    else:
+        _, rest, _ = lsd._optimal_weight(w)
+        lam0 = float(w.lambdas.lambdas[0])
+        single_idx, indep, dep = {
+            "full": (
+                [0, 1, 2, 3],
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                [],
+            ),
+            "rank3": (
+                [0, 1, 2, 3],
+                [(0, 1), (0, 2), (1, 3), (2, 3)],
+                [(0, 3), (1, 2)],
+            ),
+            "rank2": ([0, 2], [], [(0, 2)]),
+        }[d.rank_class]
+        for a in single_idx:
+            singles.append(_ref_single(a, zs[a], x1, coeff))
+        for a, b in indep:
+            pairs.append(_ref_pair(a, b, zs[a], zs[b], x1, coeff))
+        if rest > 0.0:
+            g = (1.0 - lamw) * lam0 / rest
+            for a, b in dep:
+                pairs.append(_ref_dependent_pair(a, b, zs[a], zs[b], x1, coeff, g))
+    return singles, pairs
+
+
+def _bits(record):
+    return json.dumps(to_json(record))
+
+
+class TestStackedCertificate:
+    """The stacked records equal one scalar solve per record, bit for bit."""
+
+    STATES = {
+        "rank1": lambda: sample_random(2, rank=1),
+        "rank2": lambda: sample_random(13, rank=2),
+        "rank3": lambda: sample_random(11, rank=3),
+        "rank4": lambda: sample_random(1, rank=4),
+        "exotic-rank2": exotic_rank2,
+        "bell-diagonal-separable": lambda: bell_diagonal([0.4, 0.3, 0.2, 0.1]),
+        "werner-below": lambda: werner(1.0 / 3.0 - 1e-9),
+        "werner-above": lambda: werner(1.0 / 3.0 + 1e-9),
+        "pure": pure_state,
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_records_match_the_scalar_reference(self, name):
+        rho = self.STATES[name]()
+        d = ls_decompose(rho)
+        rep = verify_optimality(rho, d)
+        singles, pairs = _ref_records(rho, d)
+        assert len(rep.single) == len(singles) > 0
+        assert len(rep.pairwise) == len(pairs)
+        for got, want in zip(rep.single + rep.pairwise, singles + pairs):
+            assert got == want
+            assert _bits(got) == _bits(want)
+
+    def test_reference_covers_every_branch(self):
+        kinds = set()
+        for make in self.STATES.values():
+            rho = make()
+            d = ls_decompose(rho)
+            _, pairs = _ref_records(rho, d)
+            kinds.add(d.rank_class)
+            kinds.update("closed-form" for p in pairs if p.gamma is not None)
+        assert kinds == {"pure", "rank2", "rank3", "full", "separable", "closed-form"}
+
+
 class TestJsonRoundTrip:
     def test_decomposition_exact(self):
         d = ls_decompose(sample_random(1, rank=4))
@@ -397,6 +582,22 @@ class TestOncePerState:
         rep = verify_optimality(rho, ls_decompose(rho))
         assert rep.verdict
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("rank, batches", [(1, 2), (2, 4), (3, 6), (4, 4)])
+    def test_certificate_solves_one_batch_per_record_family(
+        self, rank, batches, monkeypatch
+    ):
+        ls_decompose(sample_random(0, rank=1))
+        rho = sample_random(21, rank=rank)
+        d = ls_decompose(rho)
+        eig = []
+        for module in (matcore, qstate, lsd):
+            _counted(monkeypatch, module, "herm_eig", eig)
+        inv = _counted(monkeypatch, np.linalg, "inv")
+        eigvals = _counted(monkeypatch, np.linalg, "eigvalsh")
+        assert verify_optimality(rho, d).verdict
+        assert len(eig) == 1  # ppt_check
+        assert len(inv) == len(eigvals) == batches
 
     def test_state_is_eigendecomposed_at_construction_only(self, monkeypatch):
         ls_decompose(sample_random(0, rank=1))

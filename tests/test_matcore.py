@@ -8,6 +8,7 @@ from lsd_toolkit.errors import (
     NotSymmetric,
     SingularCoefficients,
 )
+from lsd_toolkit import matcore
 from lsd_toolkit.matcore import (
     dual_basis,
     herm_eig,
@@ -268,3 +269,68 @@ class TestRestrictedInverse:
         db = dual_basis([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
         with pytest.raises(ValueError):
             restricted_inverse(np.eye(3), db)
+
+
+def random_families(seed, k, n_fam=5):
+    rng = np.random.default_rng([k, seed])
+    return rng.standard_normal((n_fam, 4, k)) + 1j * rng.standard_normal((n_fam, 4, k))
+
+
+def random_coefficients(seed, k, n_fam=5):
+    rng = np.random.default_rng([k, seed, 1])
+    g = rng.standard_normal((n_fam, k, k)) + 1j * rng.standard_normal((n_fam, k, k))
+    return g @ g.conj().swapaxes(1, 2) + 0.1 * np.eye(k)
+
+
+class TestStackedKernels:
+    """Stacks of families (K, n, k) and coefficient blocks (K, k, k)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_slice_equals_the_scalar_call(self, k):
+        phi = random_families(0, k)
+        coeffs = random_coefficients(0, k)
+        db = dual_basis(phi)
+        r = restricted_inverse(coeffs, db)
+        assert db.primal.shape == db.dual.shape == (5, 4, k)
+        assert r.shape == (5, 4, 4)
+        for i in range(5):
+            one = dual_basis([phi[i, :, j] for j in range(k)])
+            assert np.array_equal(db.primal[i], np.column_stack(one.primal))
+            assert np.array_equal(db.dual[i], np.column_stack(one.dual))
+            assert np.array_equal(r[i], restricted_inverse(coeffs[i], one))
+
+    def test_dependent_family_raises(self):
+        phi = random_families(1, 2)
+        phi[1, :, 1] = 2.0j * phi[1, :, 0]
+        with pytest.raises(DependentVectors):
+            dual_basis(phi)
+        dual_basis(np.delete(phi, 1, axis=0))
+
+    def test_singular_block_raises(self):
+        db = dual_basis(random_families(2, 3))
+        coeffs = random_coefficients(2, 3)
+        coeffs[3] = np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
+        with pytest.raises(SingularCoefficients):
+            restricted_inverse(coeffs, db)
+        with pytest.raises(ValueError):
+            restricted_inverse(coeffs[:4], db)
+
+    def test_non_finite_slice_raises(self):
+        phi = random_families(3, 2)
+        phi[2, 0, 1] = np.nan
+        with pytest.raises(NotHermitian):
+            dual_basis(phi)
+        db = dual_basis(random_families(3, 2))
+        coeffs = random_coefficients(3, 2)
+        coeffs[4, 1, 1] = np.inf
+        with pytest.raises(NotHermitian):
+            restricted_inverse(coeffs, db)
+
+    def test_non_hermitian_slice_raises(self):
+        # the kernels only test Gram products, Hermitian by construction,
+        # so the shared check is exercised on a stack directly
+        h = random_coefficients(4, 3)
+        matcore._hermitian_part(h)
+        h[2, 0, 1] += 1e-3
+        with pytest.raises(NotHermitian, match="exceeds"):
+            matcore._hermitian_part(h)

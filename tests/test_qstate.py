@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lsd_toolkit.coset import CosetParams
+from lsd_toolkit.coset import CosetParams, build_x, y_from_x
 from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace
 from lsd_toolkit.lsd import ls_decompose, verify_optimality
 from lsd_toolkit.qstate import (
@@ -23,7 +23,9 @@ from lsd_toolkit.qstate import (
     to_json,
     validate,
 )
+from lsd_toolkit.matcore import dual_basis, takagi
 from lsd_toolkit.suites import _random_params, run_lsd_suite, run_wootters_suite
+from lsd_toolkit.wootters import tau_matrix, wootters_basis
 
 E = np.eye(4)
 PHI_P = (E[:, 0] + E[:, 3]) / np.sqrt(2.0)
@@ -110,6 +112,37 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.eye(4) / 4.0)
         with pytest.raises(Exception):
             rho.m = np.zeros((4, 4))
+
+
+class TestRecordEquality:
+    """Records holding arrays compare and hash by identity."""
+
+    @staticmethod
+    def records(seed):
+        rho = sample_random(seed, rank=4)
+        w = wootters_basis(DensityMatrix(rho.m))
+        x = build_x(w)
+        return [
+            rho,
+            lambda_spectrum(rho),
+            eigen_ensemble(rho),
+            tau_matrix(eigen_ensemble(rho)),
+            w,
+            ls_decompose(rho),
+            x,
+            y_from_x(x),
+            takagi(rho.m.T @ rho.m),
+            dual_basis([rho.m[:, 0], rho.m[:, 1]]),
+        ]
+
+    def test_equal_arrays_compare_without_raising(self):
+        for a, b in zip(self.records(1), self.records(1)):
+            assert type(a) is type(b)
+            assert (a == b) is False
+            assert (a != b) is True
+            assert (a == a) is True
+            assert hash(a) == hash(a)
+        assert len(set(self.records(1))) == 10
 
 
 class TestSpinFlip:
