@@ -7,12 +7,18 @@ spectra), verify (randomized property suites).  Exit codes: 0 success,
 4 a certificate or invariant check came back negative, 5 a property
 suite failed.  Set LSD_TOOLKIT_LOG=info or debug for progress logging
 on stderr.
+
+main(argv) may be called repeatedly in one process: the argument parser
+is built on the first call and reused, so each later call pays only for
+its command.  A --tol value must be a finite number >= 0.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -236,6 +242,16 @@ def _at_least_one(text):
     return n
 
 
+def _tolerance(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError("expected a finite number >= 0, got %r" % text)
+    return tol
+
+
 def _add_io_args(sp, with_input=True, with_tol=True, with_certify=False):
     if with_input:
         sp.add_argument(
@@ -247,7 +263,7 @@ def _add_io_args(sp, with_input=True, with_tol=True, with_certify=False):
     )
     if with_tol:
         sp.add_argument(
-            "--tol", type=float, default=1e-8, help="residual tolerance"
+            "--tol", type=_tolerance, default=1e-8, help="residual tolerance"
         )
     if with_certify:
         sp.add_argument(
@@ -257,7 +273,9 @@ def _add_io_args(sp, with_input=True, with_tol=True, with_certify=False):
         )
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process and then reused."""
     p = argparse.ArgumentParser(
         prog="lsd-toolkit",
         description="Two-qubit entanglement splits, certificates, and generators.",
@@ -293,7 +311,7 @@ def _build_parser():
     pv.add_argument("--seed", type=int, default=0, help="base seed")
     pv.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help="override every per-property tolerance",
     )

@@ -7,7 +7,7 @@ the package, to_json and from_json.
 """
 
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Annotated, Union, get_args, get_origin
 
 import numpy as np
@@ -199,28 +199,90 @@ def _json_key(f):
     return f.metadata.get("json", f.name)
 
 
+@cache
+def _encoder(cls):
+    """to_json's plan for the values of one type.
+
+    For a dataclass it holds the field names and JSON keys; for any
+    other type, the conversion its values need.
+    """
+    if is_dataclass(cls):
+        keys = tuple((f.name, _json_key(f)) for f in fields(cls))
+        return lambda rec: {key: to_json(getattr(rec, name)) for name, key in keys}
+    if issubclass(cls, np.ndarray):
+        return lambda a: to_json(a.tolist())
+    if issubclass(cls, (list, tuple)):
+        return lambda xs: [to_json(x) for x in xs]
+    if cls is type(None) or issubclass(cls, (bool, str)):
+        return lambda x: x
+    if issubclass(cls, (complex, np.complexfloating)):
+        return lambda z: [float(z.real), float(z.imag)]
+    if issubclass(cls, (int, np.integer)):
+        return int
+    return float
+
+
 def to_json(record):
     """JSON form of a record: a dict with one key per dataclass field.
 
     Keys follow the declaration order (DensityMatrix.m is written under
     "matrix").  A complex number becomes [re, im], an array or tuple a
-    list, and a numpy scalar the matching Python number.
+    list, and a numpy scalar the matching Python number.  The encoding
+    plan of each type (a record's field and key list, a leaf's
+    conversion) is built on its first use and kept for the process.
     """
-    if is_dataclass(record):
-        return {
-            _json_key(f): to_json(getattr(record, f.name)) for f in fields(record)
-        }
-    if isinstance(record, np.ndarray):
-        record = record.tolist()
-    if isinstance(record, (list, tuple)):
-        return [to_json(x) for x in record]
-    if record is None or isinstance(record, (bool, str)):
-        return record
-    if isinstance(record, (complex, np.complexfloating)):
-        return [float(record.real), float(record.imag)]
-    if isinstance(record, (int, np.integer)):
-        return int(record)
-    return float(record)
+    return _encoder(type(record))(record)
+
+
+def _scalar(cls, obj):
+    # bool is an int subclass, but true is not a number on the wire
+    if isinstance(obj, _SCALARS[cls]) and (cls is bool or not isinstance(obj, bool)):
+        return cls(obj)
+    raise ValueError("expected %s, got %r" % (cls.__name__, obj))
+
+
+_float = partial(_scalar, float)
+
+
+def _complex(obj):
+    if isinstance(obj, list) and len(obj) == 2:
+        return complex(_float(obj[0]), _float(obj[1]))
+    raise ValueError("expected [re, im], got %r" % (obj,))
+
+
+@cache
+def _decoder(cls):
+    """from_json's plan for one annotation: a function of the JSON value.
+
+    A dataclass's plan holds its field names, JSON keys and the plan of
+    each field's annotation; Optional, Tuple and the array annotations
+    wrap the plan of their entry type.
+    """
+    if is_dataclass(cls):
+        plan = tuple((f.name, _json_key(f), _decoder(f.type)) for f in fields(cls))
+        return lambda obj: cls(**{name: dec(obj[key]) for name, key, dec in plan})
+    origin, args = get_origin(cls), get_args(cls)
+    if origin is Union:
+        entry = _decoder(args[0])
+        return lambda obj: None if obj is None else entry(obj)
+    if origin is tuple:
+        entry = _decoder(args[0])
+        return lambda obj: tuple(entry(x) for x in obj)
+    if origin is Annotated:
+        entry, complex_entries = _decoder(args[1]), args[1] is complex
+
+        def array(obj):
+            # a complex entry is itself a list, so only a list of lists nests
+            if isinstance(obj, list) and (
+                not complex_entries or (obj and isinstance(obj[0], list))
+            ):
+                return np.array([array(x) for x in obj])
+            return entry(obj)
+
+        return array
+    if cls is complex:
+        return _complex
+    return partial(_scalar, cls)
 
 
 def from_json(cls, obj):
@@ -231,32 +293,11 @@ def from_json(cls, obj):
     A scalar of the wrong kind, or a complex entry that is not exactly two
     numbers, raises ValueError; a missing key raises KeyError, and a list
     where an object belongs TypeError.  The record's constructor then
-    validates the values.
+    validates the values.  The decoding plan of each type (its fields,
+    their JSON keys and a decoder per field annotation) is built on its
+    first use and kept for the process.
     """
-    origin, args = get_origin(cls), get_args(cls)
-    if is_dataclass(cls):
-        return cls(
-            **{f.name: from_json(f.type, obj[_json_key(f)]) for f in fields(cls)}
-        )
-    if origin is Union:
-        return None if obj is None else from_json(args[0], obj)
-    if origin is tuple:
-        return tuple(from_json(args[0], x) for x in obj)
-    if origin is Annotated:
-        # a complex entry is itself a list, so only a list of lists nests
-        if isinstance(obj, list) and (
-            args[1] is not complex or (obj and isinstance(obj[0], list))
-        ):
-            return np.array([from_json(cls, x) for x in obj])
-        return from_json(args[1], obj)
-    if cls is complex:
-        if isinstance(obj, list) and len(obj) == 2:
-            return complex(from_json(float, obj[0]), from_json(float, obj[1]))
-    # bool is an int subclass, but true is not a number on the wire
-    elif isinstance(obj, _SCALARS[cls]) and (cls is bool or not isinstance(obj, bool)):
-        return cls(obj)
-    expected = "[re, im]" if cls is complex else cls.__name__
-    raise ValueError("expected %s, got %r" % (expected, obj))
+    return _decoder(cls)(obj)
 
 
 density_to_json = to_json

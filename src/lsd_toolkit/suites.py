@@ -3,8 +3,11 @@
 Each suite draws seeded random states or parameters, evaluates a fixed
 set of identities, and reports the worst residual per property.  The
 command-line verify subcommand and the test battery both run these.
+A suite's tol= overrides every per-property tolerance; it must be a
+finite number >= 0, or the suite raises ValueError before any case.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,6 +88,8 @@ class _Tracker:
 
 
 def _trackers(specs, tol_override):
+    if tol_override is not None and not 0.0 <= tol_override < math.inf:
+        raise ValueError("tol must be a finite number >= 0, got %r" % (tol_override,))
     return [_Tracker(name, tol if tol_override is None else tol_override) for name, tol in specs]
 
 

@@ -5,6 +5,7 @@ The central object is a set of four subnormalized vectors x_i with
 Takagi factorization of the spin-flip overlap matrix tau.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,8 @@ def concurrence(rho):
 
 
 def _entropy_of_weights(ws, base):
+    if not (0.0 < base < math.inf and base != 1.0):
+        raise ValueError("entropy base must be finite, > 0 and != 1, got %r" % (base,))
     h = 0.0
     for w in ws:
         if w > 0.0:
@@ -158,7 +161,8 @@ def entanglement_of_formation(rho, base=2.0):
     """Entanglement of formation from the concurrence.
 
     Binary entropy of (1 + sqrt(1 - C^2)) / 2, in bits by default; pass
-    base=np.e for nats.
+    base=np.e for nats.  A base that is not finite, > 0 and != 1 raises
+    ValueError.
     """
     return _eof_of(concurrence(rho), base)
 
@@ -172,7 +176,8 @@ def pure_state_entropy(psi, base=2.0):
     """Entropy of entanglement of a normalized two-qubit pure state.
 
     Reduces to the first qubit and returns the eigenvalue entropy.
-    Raises NotNormalized when the norm is off by more than 1e-10.
+    Raises NotNormalized when the norm is off by more than 1e-10, and
+    ValueError for a base that is not finite, > 0 and != 1.
     """
     v = np.array(psi, dtype=complex).reshape(4)
     norm = float(np.linalg.norm(v))

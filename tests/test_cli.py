@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsd_toolkit import qstate
+from lsd_toolkit import cli, qstate
 from lsd_toolkit.cli import main
 from lsd_toolkit.coset import params_from_json
 from lsd_toolkit.lsd import lsd_from_json, report_from_json, verify_optimality, ls_decompose
@@ -330,6 +330,83 @@ class TestErrorPaths:
         bad = tmp_path / "big.json"
         bad.write_text(json.dumps(obj))
         assert main(["analyze", "--input", str(bad), "--output", "/dev/null"]) == 2
+
+
+class TestToleranceFlag:
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "abc"])
+    def test_rejects_non_finite_or_negative(self, state_file, command, value, capsys):
+        argv = [command, "--tol", value, "--output", "/dev/null"]
+        if command != "verify":
+            argv += ["--input", state_file, "--certify"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "verify"])
+    def test_zero_is_accepted(self, command):
+        assert cli._build_parser().parse_args([command, "--tol", "0"]).tol == 0.0
+
+
+def _json_run(argv, capsys):
+    """Exit code and JSON payload, without its timings, of one main call."""
+    rc = main(argv)
+    obj = json.loads(capsys.readouterr().out)
+    obj.pop("timings")
+    return rc, obj
+
+
+class TestRepeatedCalls:
+    def test_parser_is_built_once(self, state_file, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(5):
+            assert main(["analyze", "--input", state_file]) == 0
+            assert main(["verify", "--suite", "wootters", "--n", "1"]) == 0
+        capsys.readouterr()
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
+    def test_same_argv_same_output(self, state_file, capsys):
+        for argv in (
+            ["analyze", "--input", state_file, "--certify"],
+            ["decompose", "--input", state_file, "--certify"],
+            ["generate", "--seed", "3"],
+            ["verify", "--suite", "all", "--n", "2"],
+        ):
+            assert _json_run(argv, capsys) == _json_run(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["verify", "--n", "0"], "usage"),
+            (["analyze", "--unknown-flag"], "usage"),
+            (["analyze", "--input", "{missing}"], 2),
+            (["analyze", "--input", "{bad_state}"], 3),
+            (["decompose", "--input", "{state}", "--tol", "1e-20"], 4),
+            (["verify", "--suite", "lsd", "--n", "2", "--tol", "1e-30"], 5),
+        ],
+    )
+    def test_failed_call_leaves_the_next_unaffected(self, state_file, tmp_path, capsys, argv, code):
+        bad = density_to_json(sample_random(1))
+        bad["matrix"][0][1] = [9.0, 0.0]
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        paths = {
+            "missing": str(tmp_path / "nope.json"),
+            "bad_state": str(tmp_path / "bad.json"),
+            "state": state_file,
+        }
+        good = ["analyze", "--input", state_file, "--certify"]
+        before = _json_run(good, capsys)
+        argv = [a.format(**paths) for a in argv]
+        if code == "usage":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv + ["--output", "/dev/null"]) == code
+        capsys.readouterr()
+        assert _json_run(good, capsys) == before
 
 
 def _run_with_src(args):

@@ -5,7 +5,7 @@ import pytest
 
 from lsd_toolkit.coset import CosetParams, build_x, y_from_x
 from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace
-from lsd_toolkit.lsd import ls_decompose, verify_optimality
+from lsd_toolkit.lsd import OptimalityReport, ls_decompose, verify_optimality
 from lsd_toolkit.qstate import (
     SIGMA_YY,
     DensityMatrix,
@@ -368,3 +368,52 @@ class TestCodecRoundTrip:
             "rank_class", "verdict", "max_residual", "single", "pairwise", "structural",
         ]
         assert list(to_json(rho)) == ["matrix"]
+
+
+def _malformed_inputs():
+    rho = sample_random(5, rank=3)
+    d = ls_decompose(rho)
+    state, split, report = to_json(rho), to_json(d), to_json(verify_optimality(rho, d))
+    params = to_json(_random_params(3))
+    cases = []
+
+    def case(cls, good, path, value, error):
+        # the value KeyError deletes the key at path instead
+        bad = json.loads(json.dumps(good))
+        *head, last = path
+        node = bad
+        for key in head:
+            node = node[key]
+        if value is KeyError:
+            del node[last]
+        else:
+            node[last] = value
+        cases.append((cls, good, bad, error))
+
+    case(DensityMatrix, state, ["matrix", 1, 2], [0.25], ValueError)
+    case(DensityMatrix, state, ["matrix", 0, 0], [True, 0.0], ValueError)
+    case(DensityMatrix, state, ["matrix"], KeyError, KeyError)
+    case(type(d), split, ["sep"], [1, 2], TypeError)
+    case(type(d), split, ["pure", 0], "0.5", ValueError)
+    case(type(d), split, ["rank_class"], 3, ValueError)
+    case(type(d), split, ["zs"], KeyError, KeyError)
+    case(OptimalityReport, report, ["single", 0, "lam"], None, ValueError)
+    case(OptimalityReport, report, ["structural", 0], [0.0], TypeError)
+    case(OptimalityReport, report, ["verdict"], 1, ValueError)
+    case(CosetParams, params, ["xi", 1], "0", ValueError)
+    case(CosetParams, params, ["phi"], KeyError, KeyError)
+    return cases
+
+
+class TestCodecPlan:
+    @pytest.mark.parametrize("cls,good,bad,error", _malformed_inputs())
+    def test_same_error_twice_then_a_good_decode(self, cls, good, bad, error):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                from_json(cls, bad)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        again = from_json(cls, good)
+        assert type(again) is cls
+        assert to_json(again) == good

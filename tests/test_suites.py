@@ -1,3 +1,7 @@
+import math
+
+import pytest
+
 from lsd_toolkit.suites import (
     PropertyResult,
     run_all_suites,
@@ -81,3 +85,15 @@ class TestRunAll:
         assert set(out.keys()) == {"wootters", "lsd", "coset"}
         for results in out.values():
             assert all(r.passed for r in results)
+
+
+class TestTolOverride:
+    @pytest.mark.parametrize("suite", [run_wootters_suite, run_lsd_suite, run_coset_suite])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_rejects_non_finite_or_negative(self, suite, tol):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            suite(n=1, tol=tol)
+
+    def test_zero_is_accepted(self):
+        results = run_wootters_suite(n=1, tol=0.0)
+        assert all(r.tol == 0.0 for r in results)

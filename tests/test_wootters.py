@@ -201,6 +201,11 @@ class TestEntanglementOfFormation:
     def test_separable_is_zero(self):
         assert entanglement_of_formation(DensityMatrix(np.eye(4) / 4.0)) == 0.0
 
+    @pytest.mark.parametrize("base", [1.0, 0.0, -2.0, np.nan, np.inf])
+    def test_rejects_bad_base(self, base):
+        with pytest.raises(ValueError, match="base"):
+            entanglement_of_formation(werner(0.5), base=base)
+
     def test_matches_pure_entropy(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -228,3 +233,8 @@ class TestPureStateEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             pure_state_entropy(2.0 * PHI_P)
+
+    @pytest.mark.parametrize("base", [1.0, 0.0, -2.0, np.nan, np.inf])
+    def test_rejects_bad_base(self, base):
+        with pytest.raises(ValueError, match="base"):
+            pure_state_entropy(PHI_P, base=base)
