@@ -3,10 +3,10 @@
 Subcommands: analyze (spectrum, concurrence, split summary), decompose
 (full split with invariant residuals), generate (states from target
 spectra), verify (randomized property suites).  Exit codes: 0 success,
-2 unreadable input or bad parameters, 3 a named state invariant failed,
-4 a certificate or invariant check came back negative, 5 a property
-suite failed.  Set LSD_TOOLKIT_LOG=info or debug for progress logging
-on stderr.
+2 unreadable input or bad parameters, 3 a named state invariant or a
+record's residual check failed, 4 a certificate or invariant check came
+back negative, 5 a property suite failed.  Set LSD_TOOLKIT_LOG=info or
+debug for progress logging on stderr.
 
 main(argv) may be called repeatedly in one process: the argument parser
 is built on the first call and reused, so each later call pays only for
@@ -18,7 +18,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -26,6 +25,7 @@ import time
 from .coset import CosetParams, coset_generate
 from .errors import LsdToolkitError
 from .lsd import (
+    _checked_tol,
     average_concurrence,
     ls_decompose,
     split_invariants,
@@ -244,12 +244,11 @@ def _at_least_one(text):
 
 def _tolerance(text):
     try:
-        tol = float(text)
+        return _checked_tol(text)
     except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError("expected a finite number >= 0, got %r" % text)
-    return tol
+        raise argparse.ArgumentTypeError(
+            "expected a finite number >= 0, got %r" % text
+        ) from None
 
 
 def _add_io_args(sp, with_input=True, with_tol=True, with_certify=False):

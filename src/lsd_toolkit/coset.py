@@ -14,8 +14,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import NotSpecialUnitary, RankDeficient, ZeroState
-from .matcore import herm_eig
+from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
+from .matcore import herm_eig, support
 from .qstate import SIGMA_YY, DensityMatrix, SpectrumLambda, from_json, to_json
 from .wootters import WoottersDecomposition
 
@@ -100,7 +100,7 @@ class XMatrix:
         m = np.array(self.m, dtype=complex).reshape(4, 4)
         resid = np.max(np.abs(m.T @ SIGMA_YY @ m - np.eye(4)))
         if resid > 1e-9:
-            raise ValueError(
+            raise ResidualCheckFailed(
                 "columns not orthonormal under the spin-flip form (%.3e)" % resid
             )
         object.__setattr__(self, "m", m)
@@ -116,7 +116,7 @@ class YMatrix:
         m = np.array(self.m, dtype=complex).reshape(4, 4)
         resid = np.max(np.abs(m.T @ m - np.eye(4)))
         if resid > 1e-9:
-            raise ValueError("matrix not complex orthogonal (%.3e)" % resid)
+            raise ResidualCheckFailed("matrix not complex orthogonal (%.3e)" % resid)
         object.__setattr__(self, "m", m)
 
 
@@ -208,8 +208,7 @@ def coset_generate(params):
     rho = DensityMatrix(rho_m / t)
     xs = tuple(x / np.sqrt(t) for x in xs_raw)
     mu, v = rho._eig
-    cut = 1e-12 * max(float(mu[0]), 1e-30)
-    sup = [j for j in range(4) if float(mu[j]) > cut]
+    sup = np.flatnonzero(support(mu)).tolist()
     xmat = np.column_stack(xs)
     rows_sup = [np.conj(v[:, j]) @ xmat / np.sqrt(float(mu[j])) for j in sup]
     m = _complete_unitary(rows_sup, sup)

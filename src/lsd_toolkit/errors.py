@@ -55,3 +55,11 @@ class ZeroState(LsdToolkitError):
 
 class NotSpecialUnitary(LsdToolkitError):
     """Matrix is not in SU(2) within tolerance."""
+
+
+class ResidualCheckFailed(LsdToolkitError, ValueError):
+    """A record's identity residual exceeds its threshold.
+
+    Also a ValueError, so a caller that catches ValueError from a record
+    constructor still catches it.
+    """

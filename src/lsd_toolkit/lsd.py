@@ -8,6 +8,7 @@ checks that each Lambda_alpha = <z_alpha|z_alpha> saturates the largest
 weight that can sit on that product direction.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, partial
@@ -528,6 +529,18 @@ def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
     return out
 
 
+def _checked_tol(tol):
+    """tol as a float; ValueError unless it is a finite number >= 0.
+
+    The one check of a caller's tolerance: verify_optimality's tol, a
+    suite's tol override and the CLI's --tol all go through it.
+    """
+    value = float(tol)
+    if not 0.0 <= value < math.inf:
+        raise ValueError("tol must be a finite number >= 0, got %r" % (tol,))
+    return value
+
+
 def verify_optimality(rho, d, tol=1e-8):
     """Certificate that a decomposition satisfies the optimality conditions.
 
@@ -540,8 +553,10 @@ def verify_optimality(rho, d, tol=1e-8):
     one stack through dual_basis and restricted_inverse, so a certificate
     takes at most three batched inverses of each kind.  The verdict is
     True when every check lands within tol and the separable part passes
-    the partial-transpose test.
+    the partial-transpose test.  A tol that is not a finite number >= 0
+    raises ValueError.
     """
+    tol = _checked_tol(tol)
     w = wootters_basis(rho)
     lam = w.lambdas.lambdas
     cls = _classify(rho, lam)

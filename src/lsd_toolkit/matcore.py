@@ -1,19 +1,21 @@
 """Checked linear algebra for small complex matrices.
 
 A Hermitian eigendecomposition (np.linalg.eigh behind finiteness and
-hermiticity checks, with a deterministic order inside degenerate
-clusters), positive semidefinite square roots, Takagi factorization of
-complex symmetric matrices, a real 2x2 singular value decomposition with
-proper rotations, and dual-basis / restricted-inverse helpers.
-Everything is sized for the 2x2 and 4x4 matrices used elsewhere in the
-package.  Every eigenpair in the package comes from herm_eig.  The dual
-basis and the restricted inverse work on stacks of families and test
-their conditioning with eigenvalues alone, from one batched eigvalsh call
-per stack behind the same finiteness and hermiticity checks as herm_eig.
+hermiticity checks), positive semidefinite square roots, Takagi
+factorization of complex symmetric matrices, a real 2x2 singular value
+decomposition with proper rotations, and dual-basis / restricted-inverse
+helpers.  Everything is sized for the 2x2 and 4x4 matrices used
+elsewhere in the package.  Every eigenpair in the package comes from
+herm_eig, and takagi takes one of them, of a real embedding of tau.  The
+dual basis and the restricted inverse work on stacks of families and
+test their conditioning with eigenvalues alone, from one batched
+eigvalsh call per stack behind the same finiteness and hermiticity
+checks as herm_eig.
 
 The trailing lambdas of a low-rank state come out as exact zeros not
-because of the solver but because lambda_spectrum_raw and eigen_ensemble
-clamp state eigenvalues at or below 1e-12 to zero before going on.
+because of the solver but because of one support cut, support(w):
+eigen_ensemble, lambda_spectrum_raw, coset_generate and takagi treat an
+entry at or below 64 eps times the largest of its spectrum as zero.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,9 @@ from .errors import (
 )
 
 __all__ = [
+    "SUPPORT_EPS",
     "herm_eig",
+    "support",
     "psd_sqrt",
     "TakagiFactorization",
     "takagi",
@@ -39,31 +43,48 @@ __all__ = [
     "restricted_inverse",
 ]
 
+# support cut of every spectrum, relative to its largest entry
+SUPPORT_EPS = 64.0 * np.finfo(float).eps
+
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
 
 def herm_eig(h, tol=1e-10):
     """Checked eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w sorted in descending order and the
-    matching orthonormal eigenvectors as the columns of v, computed by
-    np.linalg.eigh on the symmetrized input.  Ordering inside a degenerate
-    cluster is made deterministic by phase-normalizing each column and
-    comparing entries lexicographically, so equal eigenvalues of a
-    diagonal input keep their input order.
+    matching orthonormal eigenvectors as the columns of v, computed as
+    np.linalg.eigh of minus the symmetrized input.  A real input stays
+    real.  The order inside a degenerate cluster is LAPACK's, which keeps
+    the order of a diagonal input.
 
     Raises NotHermitian when an entry is not finite, or when
     max|h - h^dag| exceeds tol relative to the larger of 1 and the
     largest entry magnitude.
     """
-    a = np.array(h, dtype=complex)
+    a = np.asarray(h)
+    a = a.astype(complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("herm_eig expects a square matrix")
     if a.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    w, v = np.linalg.eigh(_hermitian_part(a, tol))
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    _canonicalize_clusters(w, v)
-    return w, v
+        return np.zeros(0), a
+    w, v = np.linalg.eigh(-_hermitian_part(a, tol))
+    # 0.0 - w, unlike -w, turns an exact zero eigenvalue into +0.0
+    return 0.0 - w, v
+
+
+def support(w):
+    """Mask of the entries of a spectrum w above 64 eps max(w).
+
+    The one support cut of the package: a state eigenvalue or a Takagi
+    value at or below it counts as an exact zero.  Rounding leaves a few
+    eps of the largest eigenvalue in the zero eigenvalues of a singular
+    matrix, and the cut removes it.  A true state eigenvalue below the
+    cut moves a lambda by at most about 2 sqrt(64 eps), 2.4e-7, of the
+    largest.
+    """
+    return w > SUPPORT_EPS * np.max(w, initial=0.0)
 
 
 def _hermitian_part(a, tol=1e-10):
@@ -93,33 +114,6 @@ def _hermitian_part(a, tol=1e-10):
     return (a + ah) / 2.0
 
 
-def _canonicalize_clusters(w, v):
-    """Deterministic phase and order for degenerate eigenvector clusters."""
-    n = w.size
-    wscale = max(1.0, float(np.max(np.abs(w))))
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and w[i] - w[j] <= 1e-10 * wscale:
-            j += 1
-        if j - i > 1:
-            cols = []
-            for k in range(i, j):
-                col = v[:, k].copy()
-                nz = np.flatnonzero(np.abs(col) > 1e-12)
-                if nz.size:
-                    ph = col[nz[0]] / abs(col[nz[0]])
-                    col = col * np.conj(ph)
-                key = tuple(
-                    (round(float(x.real), 12), round(float(x.imag), 12)) for x in col
-                )
-                cols.append((key, col))
-            cols.sort(key=lambda item: item[0], reverse=True)
-            for k, (_, col) in enumerate(cols):
-                v[:, i + k] = col
-        i = j
-
-
 def psd_sqrt(p, tol=1e-10):
     """Hermitian square root of a positive semidefinite matrix.
 
@@ -145,11 +139,21 @@ def takagi(tau, tol=1e-10):
     """Takagi factorization of a complex symmetric matrix.
 
     Finds a unitary u and descending non-negative lambdas such that
-    u @ tau @ u.T = diag(lambdas).  The lambdas are the square roots of the
-    eigenvalues of tau @ conj(tau).  Degenerate singular values are handled
-    jointly per cluster, and inside a cluster the output columns keep the
-    order of the dominant input directions, so a diagonal tau maps to a
-    diagonal phase unitary.
+    u @ tau @ u.T = diag(lambdas), from one herm_eig call on the real
+    interleaved embedding E = kron(Re tau, sigma_z) + kron(Im tau,
+    sigma_x) (Horn & Johnson, Matrix Analysis, 2nd ed., Cor. 4.4.4).
+    E [x; y] = s [x; y] is tau conj(x + iy) = s (x + iy), and i(x + iy)
+    belongs to -s, so the spectrum of E is +-lambdas.  The top n
+    eigenvectors of E are the rows of conj(u): inside a cluster of equal
+    lambdas they are complex orthonormal, because the +s eigenspace is
+    orthogonal to its image under i, the -s eigenspace.  The square of
+    tau is never formed, so the condition number is not squared, and a
+    diagonal tau maps to a diagonal phase unitary.
+
+    Lambdas at or below the support cut are exact zeros.  Their
+    eigenvectors of E mix the null space of tau with its image under i,
+    so those rows of u come from a QR completion of the others instead:
+    tau conj(v) = 0 for every v orthogonal to the range of tau.
 
     Raises NotSymmetric when max|tau - tau.T| exceeds tol relative to the
     larger of 1 and the largest entry magnitude.
@@ -163,64 +167,16 @@ def takagi(tau, tol=1e-10):
     if res > tol * scale:
         raise NotSymmetric("max|tau - tau.T| = %.3e exceeds %.3e" % (res, tol * scale))
     t = (t + t.T) / 2.0
-    h = t @ np.conj(t)
-    h = (h + h.conj().T) / 2.0
-    w, vecs = herm_eig(h)
-    lam = np.sqrt(np.clip(w, 0.0, None))
-    lmax = float(lam[0]) if n else 0.0
-    ctol = 1e-8 * max(lmax, 1e-30)
-    ztol = 1e-11 * lmax
-    vout = np.zeros((n, n), dtype=complex)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and lam[i] - lam[j] <= ctol:
-            j += 1
-        g = slice(i, j)
-        wg = vecs[:, g]
-        if lmax == 0.0 or lam[i] <= ztol:
-            # null cluster: tau annihilates it, any orthonormal frame works
-            vout[:, g] = wg
-        else:
-            vout[:, g] = wg @ _takagi_block(t, wg, lam[g])
-        i = j
-    u = vout.conj().T
-    return TakagiFactorization(u=u, lambdas=lam)
-
-
-def _takagi_block(t, wg, lamg):
-    """Unitary correction for one singular value cluster of takagi."""
-    s = wg.conj().T @ t @ np.conj(wg)
-    s = (s + s.T) / 2.0
-    mu = float(np.mean(lamg))
-    z = s / mu
-    x = (z.real + z.real.T) / 2.0
-    y = (z.imag + z.imag.T) / 2.0
-    m = s.shape[0]
-    _, f = herm_eig(x.astype(complex))
-    f = f.real.copy()
-    # z is unitary symmetric, so x and y commute; refine the frame inside
-    # x-degenerate blocks until it diagonalizes y as well
-    wx = np.einsum("ij,ij->j", f, x @ f)
-    k0 = 0
-    while k0 < m:
-        k1 = k0 + 1
-        while k1 < m and abs(wx[k1] - wx[k0]) <= 1e-8:
-            k1 += 1
-        if k1 - k0 > 1:
-            yb = f[:, k0:k1].T @ y @ f[:, k0:k1]
-            yb = (yb + yb.T) / 2.0
-            _, gblk = herm_eig(yb.astype(complex))
-            f[:, k0:k1] = f[:, k0:k1] @ gblk.real
-        k0 = k1
-    dx = np.einsum("ij,ij->j", f, x @ f)
-    dy = np.einsum("ij,ij->j", f, y @ f)
-    d = dx + 1j * dy
-    b = f * np.exp(0.5j * np.angle(d))
-    # keep the input direction order: column k goes where |f[:,k]| peaks
-    dom = np.argmax(np.abs(f), axis=0)
-    order = np.argsort(dom, kind="stable")
-    return b[:, order]
+    e = np.kron(t.real, _SIGMA_Z) + np.kron(t.imag, _SIGMA_X)
+    s, z = herm_eig(e)
+    v = z[0::2, :n] + 1j * z[1::2, :n]
+    keep = support(s[:n])
+    lam = np.where(keep, s[:n], 0.0)
+    r = int(keep.sum())
+    if r < n:
+        q, _ = np.linalg.qr(np.hstack([v[:, :r], np.eye(n)]))
+        v[:, r:] = q[:, r:n]
+    return TakagiFactorization(u=v.conj().T, lambdas=lam)
 
 
 def svd2_real(c):

@@ -13,7 +13,7 @@ from typing import Annotated, Union, get_args, get_origin
 import numpy as np
 
 from .errors import NotHermitian, NotPSD, NotUnitTrace
-from .matcore import herm_eig
+from .matcore import herm_eig, support
 
 __all__ = [
     "SIGMA_YY",
@@ -131,24 +131,24 @@ def lambda_spectrum_raw(m):
     Returns the descending eigenvalues of sqrt(sqrt(m) mtilde sqrt(m))
     where mtilde is the spin flip of m.  Scales linearly with m, which is
     what lets generated states be normalized after the fact.
+
+    With m = g g^dag and g = V sqrt(w) from one herm_eig call, the
+    lambdas are the singular values of the complex symmetric
+    g^T SIGMA_YY g, since g^dag mtilde g is its Gram matrix.  One SVD
+    finds them without squaring the condition number, and the route
+    shares no step with the Takagi factorization of wootters_basis.
+    Eigenvalues at or below the support cut drop out of g, so a low-rank
+    state's trailing lambdas are exact zeros.
     """
     m = (np.array(m, dtype=complex) + np.conj(np.array(m)).T) / 2.0
     w, v = herm_eig(m)
     if w[-1] < -1e-10:
         raise NotPSD("matrix eigenvalue %.3e below -1e-10" % w[-1])
-    # sqrt(m) mtilde sqrt(m) is unitarily similar to
-    # diag(sqrt(w)) (V* mtilde V) diag(sqrt(w)) in the eigenbasis; with
-    # eigenvalues at or below the eigen-ensemble cut zeroed, the clamped
-    # rows vanish identically and the trailing lambdas of a low-rank
-    # state come back as clean zeros instead of square roots of noise
-    sq = np.sqrt(np.where(w > 1e-12, w, 0.0))
-    core = v.conj().T @ spin_flip_matrix(m) @ v
-    core = (core + core.conj().T) / 2.0
-    inner = core * np.outer(sq, sq)
-    w2, _ = herm_eig(inner)
-    if w2[-1] < -1e-10:
-        raise NotPSD("inner product matrix eigenvalue %.3e below -1e-10" % w2[-1])
-    return np.sqrt(np.clip(w2, 0.0, None))
+    keep = support(w)
+    g = v[:, keep] * np.sqrt(w[keep])
+    lam = np.zeros(w.size)
+    lam[: g.shape[1]] = np.linalg.svd(g.T @ SIGMA_YY @ g, compute_uv=False)
+    return lam
 
 
 def lambda_spectrum(rho):
@@ -167,18 +167,19 @@ def eigen_ensemble(rho):
     """Eigen-ensemble of a state: v_i = sqrt(mu_i) times the i-th eigenvector.
 
     Reads the eigenpair the state kept from its validation, so it solves
-    no eigenproblem.  Eigenvalues at or below 1e-12 produce exact zero
+    no eigenproblem.  Eigenvalues at or below the support cut of
+    matcore.support, 64 eps times the largest, produce exact zero
     vectors, so later stages can rely on rank-deficient columns being
     identically zero.
     """
     w, v = rho._eig
-    vs = []
-    for i in range(4):
-        if w[i] <= 1e-12:
-            vs.append(np.zeros(4, dtype=complex))
-        else:
-            vs.append(np.sqrt(w[i]) * v[:, i])
-    return EigenEnsemble(vs=tuple(vs))
+    keep = support(w)
+    return EigenEnsemble(
+        vs=tuple(
+            np.sqrt(w[i]) * v[:, i] if keep[i] else np.zeros(4, dtype=complex)
+            for i in range(4)
+        )
+    )
 
 
 def sample_random(seed, rank=4):

@@ -24,6 +24,7 @@ from .coset import (
     y_from_x,
 )
 from .lsd import (
+    _checked_tol,
     average_concurrence,
     ls_decompose,
     ppt_check,
@@ -69,11 +70,12 @@ class _Tracker:
         self.first_failure_seed = None
 
     def add(self, seed, residual):
+        """Count one case; a NaN residual fails, and stays the maximum."""
         self.cases += 1
         residual = float(residual)
-        if residual > self.max_residual:
+        if math.isnan(residual) or residual > self.max_residual:
             self.max_residual = residual
-        if residual > self.tol and self.first_failure_seed is None:
+        if not residual <= self.tol and self.first_failure_seed is None:
             self.first_failure_seed = seed
 
     def result(self):
@@ -88,8 +90,8 @@ class _Tracker:
 
 
 def _trackers(specs, tol_override):
-    if tol_override is not None and not 0.0 <= tol_override < math.inf:
-        raise ValueError("tol must be a finite number >= 0, got %r" % (tol_override,))
+    if tol_override is not None:
+        tol_override = _checked_tol(tol_override)
     return [_Tracker(name, tol if tol_override is None else tol_override) for name, tol in specs]
 
 

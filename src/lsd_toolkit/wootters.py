@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized
+from .errors import NotNormalized, ResidualCheckFailed
 from .matcore import herm_eig, takagi
 from .qstate import (
     SIGMA_YY,
@@ -43,7 +43,9 @@ class TauMatrix:
             raise ValueError("tau must be 4x4")
         res = float(np.max(np.abs(arr - arr.T)))
         if res > 1e-10:
-            raise ValueError("tau not symmetric, max|tau - tau.T| = %.3e" % res)
+            raise ResidualCheckFailed(
+                "tau not symmetric, max|tau - tau.T| = %.3e" % res
+            )
         object.__setattr__(self, "tau", arr)
 
 
@@ -74,16 +76,18 @@ class WoottersDecomposition:
             raise ValueError("need exactly four vectors")
         u = np.array(self.u, dtype=complex)
         if float(np.max(np.abs(u @ u.conj().T - np.eye(4)))) > 1e-9:
-            raise ValueError("u is not unitary within 1e-9")
+            raise ResidualCheckFailed("u is not unitary within 1e-9")
         lam = self.lambdas.lambdas
         x = np.column_stack(xs)
         overlap = x.conj().T @ SIGMA_YY @ np.conj(x)
         res = float(np.max(np.abs(overlap - np.diag(lam))))
         if res > 1e-9:
-            raise ValueError("tilde orthogonality residual %.3e exceeds 1e-9" % res)
+            raise ResidualCheckFailed(
+                "tilde orthogonality residual %.3e exceeds 1e-9" % res
+            )
         tr = float(sum(np.vdot(xi, xi).real for xi in xs))
         if abs(tr - 1.0) > 1e-10:
-            raise ValueError("norms sum to %.12f instead of 1" % tr)
+            raise ResidualCheckFailed("norms sum to %.12f instead of 1" % tr)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "u", u)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -8,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsd_toolkit import cli, qstate
+from lsd_toolkit import cli, qstate, suites
 from lsd_toolkit.cli import main
-from lsd_toolkit.coset import params_from_json
+from lsd_toolkit.coset import params_from_json, params_to_json
 from lsd_toolkit.lsd import lsd_from_json, report_from_json, verify_optimality, ls_decompose
 from lsd_toolkit.qstate import (
     DensityMatrix,
@@ -257,6 +258,31 @@ class TestGenerate:
         assert main(["generate", "--params", str(pfile), "--output", "/dev/null"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_squeezed_states_round_trip_through_analyze(self, tmp_path, capsys):
+        # max xi in [4.5, 6]: valid parameters and the states they make are
+        # never reported as bad input
+        pfile, out, state = (tmp_path / n for n in ("p.json", "out.json", "s.json"))
+        generated, analyzed = [], []
+        for seed in range(32):
+            p = _random_params(seed)
+            p = dataclasses.replace(p, xi=(4.5 + 0.75 * p.xi[0], 3.0 * p.xi[1]))
+            pfile.write_text(json.dumps(params_to_json(p)))
+            generated.append(main(["generate", "--params", str(pfile), "--output", str(out)]))
+            if generated[-1] == 0:
+                state.write_text(json.dumps(json.loads(out.read_text())["state"]))
+                argv = ["analyze", "--certify", "--input", str(state)]
+                analyzed.append(main(argv + ["--output", "/dev/null"]))
+        assert len(analyzed) >= 30
+        assert 2 not in generated + analyzed, capsys.readouterr().err
+
+    def test_failed_residual_check_exits_three(self, capsys):
+        # the absolute 1e-9 orthogonality check of YMatrix fails on rounding
+        # alone at these angles; a failed check is not bad input
+        angles = ["--theta", "2,2", "--xi", "6,6", "--phi", "2,2"]
+        argv = ["generate", "--lambdas", "0.4,0.3,0.2,0.1", *angles]
+        assert main(argv + ["--output", "/dev/null"]) == 3
+        assert "ResidualCheckFailed" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_run_passes(self, tmp_path):
@@ -280,6 +306,13 @@ class TestVerify:
             main(["verify", "--n", n, "--output", "/dev/null"])
         assert exc.value.code == 2
         assert "--n" in capsys.readouterr().err
+
+    def test_nan_residual_exits_five(self, monkeypatch, capsys):
+        nan_spectrum = lambda m: np.full(4, np.nan)
+        monkeypatch.setattr(suites, "lambda_spectrum_raw", nan_spectrum)
+        rc = main(["verify", "--suite", "wootters", "--n", "2", "--output", "/dev/null"])
+        assert rc == 5
+        assert "suite failure: wootters/spectrum-scaling" in capsys.readouterr().err
 
     def test_impossible_tol_exits_five(self, capsys):
         rc = main(["verify", "--suite", "lsd", "--n", "4", "--tol", "1e-30", "--output", "/dev/null"])

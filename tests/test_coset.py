@@ -21,7 +21,13 @@ from lsd_toolkit.coset import (
     y_from_x,
     YMatrix,
 )
-from lsd_toolkit.errors import NotSpecialUnitary, RankDeficient, ZeroState
+from lsd_toolkit.errors import (
+    LsdToolkitError,
+    NotSpecialUnitary,
+    RankDeficient,
+    ResidualCheckFailed,
+    ZeroState,
+)
 from lsd_toolkit.qstate import DensityMatrix, lambda_spectrum, sample_random, SIGMA_YY
 from lsd_toolkit.wootters import concurrence, wootters_basis
 
@@ -134,6 +140,13 @@ class TestFrames:
 
     def test_ymatrix_rejects(self):
         with pytest.raises(ValueError):
+            YMatrix(np.diag([2.0, 1.0, 1.0, 1.0]))
+
+    def test_residual_errors_are_typed(self):
+        assert issubclass(ResidualCheckFailed, LsdToolkitError)
+        with pytest.raises(ResidualCheckFailed):
+            XMatrix(np.eye(4) * 2.0)
+        with pytest.raises(ResidualCheckFailed):
             YMatrix(np.diag([2.0, 1.0, 1.0, 1.0]))
 
 

@@ -272,6 +272,17 @@ class TestPpt:
 
 
 class TestVerifyOptimality:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_non_finite_or_negative_tol(self, tol):
+        rho = sample_random(1, rank=4)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            verify_optimality(rho, ls_decompose(rho), tol=tol)
+
+    def test_zero_tol_is_accepted(self):
+        rho = sample_random(1, rank=4)
+        rep = verify_optimality(rho, ls_decompose(rho), tol=0.0)
+        assert all(c.tol == 0.0 for c in rep.structural if c.name != "separable-ppt")
+
     def test_full_rank_verdict(self):
         rho = sample_random(1, rank=4)
         rep = verify_optimality(rho, ls_decompose(rho))

@@ -74,6 +74,13 @@ class TestHermEig:
         assert np.array_equal(w1, w2)
         assert np.array_equal(v1, v2)
 
+    def test_real_input_stays_real(self):
+        h = random_hermitian(np.random.default_rng(4)).real
+        w, v = herm_eig(h)
+        assert v.dtype == np.float64
+        assert np.max(np.abs(h @ v - v * w)) < 1e-13
+        assert np.all(np.diff(w) <= 0.0)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -166,6 +173,64 @@ class TestTakagi:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             takagi(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_resolves_a_gap_of_1e_9(self):
+        target = np.array([0.5, 0.5 - 1e-9, 0.2, 0.1])
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            tau = q @ np.diag(target) @ q.T
+            tau = (tau + tau.T) / 2.0
+            fac = takagi(tau)
+            assert np.max(np.abs(fac.lambdas - target)) < 1e-14
+            d = fac.u @ tau @ fac.u.T
+            assert np.max(np.abs(d - np.diag(fac.lambdas))) < 1e-14
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_random_low_rank(self, rank):
+        for seed in range(50):
+            rng = np.random.default_rng([rank, seed])
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            s = np.sort(rng.uniform(0.1, 1.0, rank))[::-1]
+            tau = q[:, :rank] @ np.diag(s) @ q[:, :rank].T
+            fac = takagi((tau + tau.T) / 2.0)
+            assert np.all(fac.lambdas[rank:] == 0.0)
+            assert np.max(np.abs(fac.lambdas[:rank] - s)) < 1e-14
+            assert np.max(np.abs(fac.u @ fac.u.conj().T - np.eye(4))) < 1e-13
+            d = fac.u @ tau @ fac.u.T
+            assert np.max(np.abs(d - np.diag(fac.lambdas))) < 1e-14
+
+    def test_ill_conditioned(self):
+        # condition 1e11: a route through tau @ conj(tau) squares it past
+        # 1/eps and loses the smallest value entirely
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            target = np.array([1.0, 1e-3, 1e-7, 1e-11])
+            tau = q @ np.diag(target) @ q.T
+            tau = (tau + tau.T) / 2.0
+            fac = takagi(tau)
+            d = fac.u @ tau @ fac.u.T
+            resid = np.linalg.norm(d - np.diag(fac.lambdas), 2)
+            assert resid <= 1e-13 * np.linalg.norm(tau, 2)
+            assert np.max(np.abs(fac.lambdas - target)) < 1e-14
+
+    def test_one_herm_eig_call(self, monkeypatch):
+        calls = []
+        real = matcore.herm_eig
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, "herm_eig", counted)
+        for tau in (
+            random_symmetric(np.random.default_rng(2)),
+            np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
+        ):
+            calls.clear()
+            takagi(tau)
+            assert len(calls) == 1
 
 
 class TestSvd2Real:

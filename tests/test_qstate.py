@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from lsd_toolkit.coset import CosetParams, build_x, y_from_x
-from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace
+from lsd_toolkit.coset import CosetParams, build_x, coset_generate, y_from_x
+from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace, ResidualCheckFailed
 from lsd_toolkit.lsd import OptimalityReport, ls_decompose, verify_optimality
 from lsd_toolkit.qstate import (
     SIGMA_YY,
@@ -23,7 +24,7 @@ from lsd_toolkit.qstate import (
     to_json,
     validate,
 )
-from lsd_toolkit.matcore import dual_basis, takagi
+from lsd_toolkit.matcore import SUPPORT_EPS, dual_basis, takagi
 from lsd_toolkit.suites import _random_params, run_lsd_suite, run_wootters_suite
 from lsd_toolkit.wootters import tau_matrix, wootters_basis
 
@@ -44,6 +45,24 @@ def graded_factor(seed, rank):
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     g = g * 10.0 ** -rng.uniform(0.0, 3.0, rank)
     return g / np.linalg.norm(g)
+
+
+def squeezed_params(seed):
+    """The suite's parameter draw with xi[0] in [4.5, 6] and xi[1] in [0, 6]."""
+    p = _random_params(seed)
+    return dataclasses.replace(p, xi=(4.5 + 0.75 * p.xi[0], 3.0 * p.xi[1]))
+
+
+def mp_lambdas(m):
+    """Lambdas of m at 50 digits, from the eigenvalues of m @ mtilde."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in m])
+        s = mpmath.matrix(SIGMA_YY.tolist())
+        ev = mpmath.eig(a * (s * a.apply(mpmath.conj) * s), left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev), reverse=True)
+        return np.array([float(x) for x in lam])
 
 
 def bell_diagonal(ps):
@@ -236,6 +255,22 @@ class TestLambdaSpectrum:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             lambda_spectrum_raw(np.diag([1.0, 0.5, 0.0, -0.3]))
+
+    def test_matches_50_digit_oracle_on_squeezed_states(self):
+        # a state eigenvalue just below the support cut moves a lambda by
+        # at most about 2 sqrt(SUPPORT_EPS) of the largest
+        tol = 2.0 * np.sqrt(SUPPORT_EPS)
+        checked = 0
+        for seed in range(32):
+            try:
+                m = coset_generate(squeezed_params(seed)).rho.m
+            except ResidualCheckFailed:
+                # the generator's own records check against an absolute
+                # 1e-9, which rounding alone can miss at these angles
+                continue
+            assert np.max(np.abs(lambda_spectrum_raw(m) - mp_lambdas(m))) < tol, seed
+            checked += 1
+        assert checked >= 30
 
 
 class TestEigenEnsemble:

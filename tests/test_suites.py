@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lsd_toolkit.suites import (
+    _Tracker,
     PropertyResult,
     run_all_suites,
     run_coset_suite,
@@ -85,6 +86,19 @@ class TestRunAll:
         assert set(out.keys()) == {"wootters", "lsd", "coset"}
         for results in out.values():
             assert all(r.passed for r in results)
+
+
+class TestTracker:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_residual_fails_with_its_seed(self, bad):
+        t = _Tracker("x", 1e-9)
+        t.add(0, 0.0)
+        t.add(1, bad)
+        t.add(2, 1e-12)
+        r = t.result()
+        assert not r.passed
+        assert r.first_failure_seed == 1
+        assert not math.isfinite(r.max_residual)
 
 
 class TestTolOverride:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lsd_toolkit.errors import NotNormalized
+from lsd_toolkit.errors import NotNormalized, ResidualCheckFailed
 from lsd_toolkit.qstate import (
     DensityMatrix,
     EigenEnsemble,
@@ -150,6 +150,17 @@ class TestWoottersDecompositionValidation:
         xs = tuple(1.1 * x for x in w.xs)
         with pytest.raises(ValueError):
             WoottersDecomposition(xs=xs, lambdas=w.lambdas, u=w.u)
+
+    def test_residual_errors_are_typed(self):
+        w = wootters_basis(sample_random(2))
+        bad_norms = tuple(x * np.sqrt(1.0 + 1e-6) for x in w.xs)
+        for xs, u in ((w.xs, 2.0 * w.u), (bad_norms, w.u)):
+            with pytest.raises(ResidualCheckFailed):
+                WoottersDecomposition(xs=xs, lambdas=w.lambdas, u=u)
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 1] = 1.0
+        with pytest.raises(ResidualCheckFailed):
+            TauMatrix(tau=m)
 
 
 class TestConcurrence:
