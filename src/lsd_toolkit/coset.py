@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
-from .matcore import herm_eig, support
+from .matcore import support
 from .qstate import SIGMA_YY, DensityMatrix, SpectrumLambda, from_json, to_json
 from .wootters import WoottersDecomposition
 
@@ -169,31 +169,19 @@ def y_factor(params):
 CosetResult = namedtuple("CosetResult", ["rho", "wootters", "trace_factor"])
 
 
-def _complete_unitary(rows_sup, sup_idx):
-    """Unitary whose rows at sup_idx are rows_sup, filled orthonormally."""
-    m = np.zeros((4, 4), dtype=complex)
-    for r, j in zip(rows_sup, sup_idx):
-        m[j, :] = r
-    missing = [j for j in range(4) if j not in sup_idx]
-    if missing:
-        b = np.conj(np.array(rows_sup))
-        k = b.conj().T @ b
-        w, v = herm_eig((k + k.conj().T) / 2.0)
-        # eigenvectors with vanishing eigenvalue span the orthogonal
-        # complement of the existing rows
-        fill = [v[:, i] for i in range(4) if w[i] <= 1e-8]
-        for j, vec in zip(missing, fill):
-            m[j, :] = vec
-    return m
-
-
 def coset_generate(params):
     """Density matrix realizing a target overlap spectrum.
 
     Builds the orthogonal frame from the six angles, attaches the target
     lambdas, and normalizes by the resulting trace factor.  The achieved
-    spectrum is params.lambdas / trace_factor.  Raises ZeroState when all
-    lambdas vanish.
+    spectrum is params.lambdas / trace_factor.
+
+    The unitary of the returned decomposition, x = v_ens u^dag, comes from
+    the state's own eigenpair (mu_j, v_j): on the support, row j of u^dag
+    is v_j^dag X / sqrt(mu_j), with X the columns x_i, and off it the row
+    is zero.  u^dag is the polar factor A B^dag of one SVD A S B^dag of
+    those rows, the unitary closest to them, which also fills the rows
+    off the support.  Raises ZeroState when all lambdas vanish.
     """
     lam = np.array(params.lambdas, dtype=float)
     if float(lam[0]) <= 0.0:
@@ -208,15 +196,11 @@ def coset_generate(params):
     rho = DensityMatrix(rho_m / t)
     xs = tuple(x / np.sqrt(t) for x in xs_raw)
     mu, v = rho._eig
-    sup = np.flatnonzero(support(mu)).tolist()
-    xmat = np.column_stack(xs)
-    rows_sup = [np.conj(v[:, j]) @ xmat / np.sqrt(float(mu[j])) for j in sup]
-    m = _complete_unitary(rows_sup, sup)
-    # strongly squeezed states leave the small-eigenvalue rows accurate
-    # only to machine epsilon over mu; snap to the closest unitary
-    g, gv = herm_eig(m @ m.conj().T)
-    m = (gv * (1.0 / np.sqrt(np.clip(g, 1e-30, None)))) @ gv.conj().T @ m
-    u = m.conj().T
+    sup = support(mu)
+    rows = np.zeros((4, 4), dtype=complex)
+    rows[sup] = (v[:, sup].conj().T @ np.column_stack(xs)) / np.sqrt(mu[sup, None])
+    a, _, bh = np.linalg.svd(rows)
+    u = (a @ bh).conj().T
     w = WoottersDecomposition(
         xs=xs, lambdas=SpectrumLambda(lam / t), u=u
     )

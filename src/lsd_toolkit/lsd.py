@@ -551,7 +551,7 @@ def verify_optimality(rho, d, tol=1e-8):
     closed forms on the rank-deficient pair branches.  Each record family
     (the singles, the independent pairs, the closed-form pairs) runs as
     one stack through dual_basis and restricted_inverse, so a certificate
-    takes at most three batched inverses of each kind.  The verdict is
+    takes at most three batched SVDs of each kind.  The verdict is
     True when every check lands within tol and the separable part passes
     the partial-transpose test.  A tol that is not a finite number >= 0
     raises ValueError.

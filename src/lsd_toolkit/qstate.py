@@ -138,9 +138,10 @@ def lambda_spectrum_raw(m):
     finds them without squaring the condition number, and the route
     shares no step with the Takagi factorization of wootters_basis.
     Eigenvalues at or below the support cut drop out of g, so a low-rank
-    state's trailing lambdas are exact zeros.
+    state's trailing lambdas are exact zeros.  herm_eig checks m first:
+    a non-finite or non-Hermitian m raises NotHermitian, and an
+    eigenvalue below -1e-10 raises NotPSD.
     """
-    m = (np.array(m, dtype=complex) + np.conj(np.array(m)).T) / 2.0
     w, v = herm_eig(m)
     if w[-1] < -1e-10:
         raise NotPSD("matrix eigenvalue %.3e below -1e-10" % w[-1])
@@ -168,7 +169,7 @@ def eigen_ensemble(rho):
 
     Reads the eigenpair the state kept from its validation, so it solves
     no eigenproblem.  Eigenvalues at or below the support cut of
-    matcore.support, 64 eps times the largest, produce exact zero
+    matcore.support, 8 eps times the largest, produce exact zero
     vectors, so later stages can rely on rank-deficient columns being
     identically zero.
     """

@@ -295,6 +295,19 @@ class TestDualBasis:
         with pytest.raises(DependentVectors):
             dual_basis([v, 2.0 * v])
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_biorthogonality_at_singular_value_ratio_1e_5(self, k):
+        # the Gram matrix of these families has condition 1e10, just inside
+        # the 1e-12 limit, so duals computed from it lose about ten digits
+        for seed in range(50):
+            rng = np.random.default_rng([k, seed])
+            q1, _ = np.linalg.qr(rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k)))
+            q2, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+            phi = q1 @ np.diag(np.logspace(0.0, -5.0, k)) @ q2.conj().T
+            db = dual_basis(list(phi.T))
+            phihat = np.column_stack(db.dual)
+            assert np.max(np.abs(phihat.conj().T @ phi - np.eye(k))) < 1e-9
+
 
 class TestRestrictedInverse:
     def test_diagonal_coefficients(self):

@@ -256,6 +256,28 @@ class TestLambdaSpectrum:
         with pytest.raises(NotPSD):
             lambda_spectrum_raw(np.diag([1.0, 0.5, 0.0, -0.3]))
 
+    def test_rejects_non_hermitian(self):
+        m = sample_random(1).m.copy()
+        m[0, 1] += 1e-3
+        with pytest.raises(NotHermitian):
+            lambda_spectrum_raw(m)
+
+    def test_keeps_a_true_eigenvalue_of_1e_14(self):
+        # a squeezed state whose smallest true eigenvalue, 1.3e-14 (about
+        # 60 eps), must stay in the spectrum
+        res = coset_generate(
+            CosetParams(
+                lambdas=[0.5800847123273936, 0.48952149585534904,
+                         0.47224343807551644, 0.4401370426385532],
+                theta=[-1.729521510385906, -0.3936640944361671],
+                xi=[2.64507227323211, 5.733206469479133],
+                phi=[-0.7761107697886551, -1.7599166324467763],
+            )
+        )
+        assert res.rho._eig[0][-1] < 1e-13
+        target = np.array(res.wootters.lambdas.lambdas)
+        assert np.max(np.abs(lambda_spectrum_raw(res.rho.m) - target)) < 1e-8
+
     def test_matches_50_digit_oracle_on_squeezed_states(self):
         # a state eigenvalue just below the support cut moves a lambda by
         # at most about 2 sqrt(SUPPORT_EPS) of the largest
