@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from lsd_toolkit.errors import NoPurePart, PhaseConstraintViolated, RankMismatch
+from lsd_toolkit.errors import (
+    LsdToolkitError,
+    NoPurePart,
+    PhaseConstraintViolated,
+    RankMismatch,
+)
 from lsd_toolkit.lsd import (
     average_concurrence,
     DEFAULT_PHASES,
@@ -347,6 +352,76 @@ class TestVerifyOptimality:
         zs = tuple(1.01 * z for z in d.zs)
         rep = verify_optimality(rho, dataclasses.replace(d, zs=zs))
         assert not rep.verdict
+
+
+def _mutant(kind, d, rng):
+    """d with one field perturbed and zs not rebuilt; None where kind is a no-op."""
+    big = int(np.argmax([np.linalg.norm(z) for z in d.zs]))
+    noise = 1e-3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    zs, xpp = list(d.zs), list(d.xpp)
+    if kind == "weight":
+        # weight 1 cannot grow and weight 0 does not move
+        if d.rank_class in ("separable", "pure"):
+            return None
+        return dataclasses.replace(d, weight=1.001 * d.weight)
+    if kind == "z-scaled":
+        zs[big] = 1.001 * zs[big]
+        return dataclasses.replace(d, zs=tuple(zs))
+    if kind == "z-noise":
+        zs[big] = zs[big] + noise
+        return dataclasses.replace(d, zs=tuple(zs))
+    if kind == "pure-noise":
+        if d.pure is None:
+            return None
+        return dataclasses.replace(d, pure=d.pure + noise)
+    if kind == "lambdas-pp-scaled":
+        return dataclasses.replace(d, lambdas_pp=1.001 * d.lambdas_pp)
+    if kind == "xpp-scaled":
+        xpp[0] = 1.001 * xpp[0]
+        return dataclasses.replace(d, xpp=tuple(xpp))
+    assert kind == "phases-shifted"
+    return dataclasses.replace(d, phases=d.phases + rng.uniform(-0.1, 0.1, 4))
+
+
+class TestMutationCorpus:
+    """Tampered splits of ranks 1-4 and a few separable states are rejected.
+
+    The first four kinds are rejected since the stacked certificate; the
+    last three leave the structural identities intact and are caught by
+    the lambdas-pp and ensemble-phases checks.
+    """
+
+    STATES = [sample_random(s, rank=r) for s in range(15) for r in (1, 2, 3, 4)]
+    STATES += [werner(0.2), werner(0.3), bell_diagonal([0.4, 0.3, 0.2, 0.1])]
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "weight",
+            "z-scaled",
+            "z-noise",
+            "pure-noise",
+            "lambdas-pp-scaled",
+            "xpp-scaled",
+            "phases-shifted",
+        ],
+    )
+    def test_every_mutant_is_rejected(self, kind):
+        rng = np.random.default_rng(12)
+        tried, passed = 0, []
+        for i, rho in enumerate(self.STATES):
+            d = ls_decompose(rho)
+            mutant = _mutant(kind, d, rng)
+            if mutant is None:
+                continue
+            tried += 1
+            try:
+                if verify_optimality(rho, mutant).verdict:
+                    passed.append((i, d.rank_class))
+            except LsdToolkitError:
+                pass
+        assert tried >= 40
+        assert passed == []
 
 
 def _ref_sandwich(minv, u, v):
