@@ -3,9 +3,10 @@
 A state rho is written as weight * rho_sep + (1 - weight) * |psi><psi|
 with rho_sep separable and the weight maximal in the sense of the
 matching optimality conditions.  The separable part carries a product
-ensemble of four zero-concurrence vectors z_alpha, and the certificate
-checks that each Lambda_alpha = <z_alpha|z_alpha> saturates the largest
-weight that can sit on that product direction.
+ensemble of four zero-concurrence vectors z_alpha.  The certificate
+checks the structural identities of the split, the linear independence
+that makes each Lambda_alpha = <z_alpha|z_alpha> maximal by itself, and
+the closed-form conditions of the pairs tied by z_a + z_b = x''_1.
 """
 
 import math
@@ -17,8 +18,18 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import NoPurePart, PhaseConstraintViolated, RankMismatch
-from .matcore import dual_basis, herm_eig, restricted_inverse
+from .matcore import (
+    _DEPENDENT,
+    _SINGULAR,
+    _check_condition,
+    _check_finite,
+    _checked_svd,
+    dual_basis,
+    herm_eig,
+    restricted_inverse,
+)
 from .qstate import (
+    SIGMA_YY,
     ComplexArray,
     DensityMatrix,
     RealArray,
@@ -37,7 +48,6 @@ __all__ = [
     "split_invariants",
     "PptResult",
     "ppt_check",
-    "SingleCheck",
     "PairCheck",
     "StructuralCheck",
     "OptimalityReport",
@@ -344,19 +354,13 @@ def ppt_check(rho):
 
 
 @dataclass(frozen=True)
-class SingleCheck:
-    """One Lambda_alpha maximality check through a restricted inverse."""
-
-    alpha: int
-    lam: float
-    measured: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class PairCheck:
-    """One pairwise check; gamma and the reproduced weights are set on the
-    rank-deficient closed-form branches."""
+    """Closed-form check of a pair tied by z_alpha + z_beta = x''_1.
+
+    cross, diag_a and diag_b are read from the measured inverse, gamma is
+    its determinant normalizer and the reproduced weights come from the
+    measured elements alone.
+    """
 
     alpha: int
     beta: int
@@ -365,9 +369,9 @@ class PairCheck:
     cross: complex
     diag_a: float
     diag_b: float
-    gamma: Optional[float]
-    reproduced_a: Optional[float]
-    reproduced_b: Optional[float]
+    gamma: float
+    reproduced_a: float
+    reproduced_b: float
     residual: float
 
 
@@ -383,12 +387,17 @@ class StructuralCheck:
 
 @dataclass(frozen=True)
 class OptimalityReport:
-    """Certificate output: per-alpha and per-pair records plus a verdict."""
+    """Certificate output: structural checks, closed-form pairs, a verdict.
+
+    independence_margin is the smallest s_min / s_max of the product
+    vector families, each with its anchor, that the maximality conditions
+    are stated on.
+    """
 
     rank_class: str
     verdict: bool
     max_residual: float
-    single: Tuple[SingleCheck, ...]
+    independence_margin: float
     pairwise: Tuple[PairCheck, ...]
     structural: Tuple[StructuralCheck, ...]
 
@@ -401,9 +410,9 @@ def _parallel(u, v):
     return abs(np.vdot(u, v)) / (nu * nv) > 1.0 - 1e-10
 
 
-# records of the entangled classes: the singles, the independent pairs and
+# families of the entangled classes: the singles, the independent pairs and
 # the pairs tied by z_a + z_b = x''_1, which get the closed-form check
-_ENTANGLED_RECORDS = {
+_ENTANGLED_FAMILIES = {
     "full": ((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), ()),
     "rank3": ((0, 1, 2, 3), ((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 3), (1, 2))),
     "rank2": ((0, 2), (), ((0, 2),)),
@@ -415,58 +424,26 @@ def _sandwiches(minv, u, v):
     return (np.conj(u)[:, None, :] @ minv @ v[:, :, None])[:, 0, 0]
 
 
-def _diagonal_inverses(zs, lams, groups, anchor, coeff):
-    """Restricted inverses for the families (z_a for a in group, then anchor).
+def _independence_margin(zs, lams, families, anchor, coeff):
+    """Smallest s_min / s_max over the families (z_a for a in group, then anchor).
 
-    Each family's coefficients are diag(Lambda_a ..., coeff); all families
-    have the same size and run as one stack.
+    families holds one list of groups per family size, and each size
+    takes one batched SVD.  The coefficients diag(Lambda_a ..., coeff)
+    are tested by their magnitudes, the singular values of a diagonal.
     """
-    fams = [[zs[a] for a in grp] for grp in groups]
-    diags = [[lams[a] for a in grp] for grp in groups]
-    if anchor is not None:
-        fams = [f + [anchor] for f in fams]
-        diags = [c + [coeff] for c in diags]
-    k = len(diags[0])
-    coeffs = np.zeros((len(groups), k, k), dtype=complex)
-    coeffs[:, range(k), range(k)] = diags
-    return restricted_inverse(coeffs, dual_basis(np.array(fams).swapaxes(1, 2)))
-
-
-def _single_records(zs, lams, idx, anchor, coeff):
-    """One SingleCheck per alpha in idx: 1 / <z_a|M^-1|z_a> against Lambda_a."""
-    z = np.array([zs[a] for a in idx])
-    minv = _diagonal_inverses(zs, lams, [[a] for a in idx], anchor, coeff)
-    measured = 1.0 / _sandwiches(minv, z, z).real
-    return [
-        SingleCheck(alpha=a, lam=lams[a], measured=m, residual=abs(m - lams[a]))
-        for a, m in zip(idx, measured.tolist())
-    ]
-
-
-def _independent_pair_records(zs, lams, pairs, anchor, coeff):
-    """One PairCheck per (a, b): a zero cross term and both diagonals."""
-    za = np.array([zs[a] for a, _ in pairs])
-    zb = np.array([zs[b] for _, b in pairs])
-    minv = _diagonal_inverses(zs, lams, pairs, anchor, coeff)
-    cross = _sandwiches(minv, za, zb).tolist()
-    diag_a = (1.0 / _sandwiches(minv, za, za).real).tolist()
-    diag_b = (1.0 / _sandwiches(minv, zb, zb).real).tolist()
-    return [
-        PairCheck(
-            alpha=a,
-            beta=b,
-            lam_a=lams[a],
-            lam_b=lams[b],
-            cross=c,
-            diag_a=da,
-            diag_b=db,
-            gamma=None,
-            reproduced_a=None,
-            reproduced_b=None,
-            residual=max(abs(c), abs(da - lams[a]), abs(db - lams[b])),
-        )
-        for (a, b), c, da, db in zip(pairs, cross, diag_a, diag_b)
-    ]
+    margin = math.inf
+    for groups in families:
+        fams = [[zs[a] for a in grp] for grp in groups]
+        diags = [[lams[a] for a in grp] for grp in groups]
+        if anchor is not None:
+            fams = [f + [anchor] for f in fams]
+            diags = [c + [coeff] for c in diags]
+        _, s, _ = _checked_svd(np.array(fams).swapaxes(1, 2), *_DEPENDENT)
+        mags = np.abs(np.array(diags))
+        _check_finite(mags)
+        _check_condition(-np.sort(-mags), *_SINGULAR)
+        margin = min(margin, float(np.min(s[:, -1] / s[:, 0])))
+    return margin
 
 
 def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
@@ -545,16 +522,34 @@ def verify_optimality(rho, d, tol=1e-8):
     """Certificate that a decomposition satisfies the optimality conditions.
 
     Classifies rho from the basis it shares with ls_decompose (raising
-    RankMismatch when that class differs from the decomposition's),
-    checks the structural identities of the split, and verifies the
-    Lambda maximality conditions through restricted inverses, with the
-    closed forms on the rank-deficient pair branches.  Each record family
-    (the singles, the independent pairs, the closed-form pairs) runs as
-    one stack through dual_basis and restricted_inverse, so a certificate
-    takes at most three batched SVDs of each kind.  The verdict is
-    True when every check lands within tol and the separable part passes
-    the partial-transpose test.  A tol that is not a finite number >= 0
-    raises ValueError.
+    RankMismatch when that class differs from the decomposition's) and
+    checks the structural identities of the split: reconstruction, the
+    weight identity, the ensemble sum, zero concurrence, the boundary,
+    lambdas-pp (x''^T S_YY x'' = diag(lambdas_pp)), ensemble-phases (zs
+    rebuilt from xpp and phases) and positivity under partial
+    transposition.
+
+    The maximality conditions (Lewenstein & Sanpera, PRL 80, 2261 (1998))
+    ask that each Lambda_alpha, and each pair, be maximal with respect to
+    the rest of the split.  Written through a restricted inverse, M =
+    sum_ij A_ij |phi_i><phi_j| on a family phi = (z_a[, z_b], anchor)
+    with diagonal A = diag(Lambda_a[, Lambda_b], coeff), the condition
+    reads <z_a|M^-1|z_b> = (A^-1)_ab = delta_ab / Lambda_a, since
+    <dual_i|phi_j> = delta_ij.  That holds for every linearly independent
+    family, whatever its vectors, so those records cannot fail; the
+    certificate reports what they rest on instead, the independence
+    margin: the smallest s_min / s_max over the single and independent
+    pair families.  A family with (s_min / s_max)**2 below 1e-12 raises
+    DependentVectors, and one whose diagonal coefficients have min / max
+    below 1e-12 raises SingularCoefficients.  The condition has content
+    only for dependent vectors, the pairs tied by z_a + z_b = x''_1 of
+    the rank3 and rank2 classes; those get the closed form of Karnas &
+    Lewenstein, J. Phys. A 34, 6919 (2001), as PairCheck records, one
+    batched dual_basis and restricted_inverse for all of them.
+
+    The verdict is True when every structural check and every closed-form
+    pair lands within tol (the partial-transpose check has its own
+    1e-10).  A tol that is not a finite number >= 0 raises ValueError.
     """
     tol = _checked_tol(tol)
     w = wootters_basis(rho)
@@ -575,6 +570,9 @@ def verify_optimality(rho, d, tol=1e-8):
         predicted = 0.0
     else:
         predicted, rest, _ = _optimal_weight(w)
+    xpp = np.column_stack(d.xpp)
+    lpp = float(np.max(np.abs(xpp.T @ SIGMA_YY @ xpp - np.diag(d.lambdas_pp))))
+    rebuilt = float(np.max(np.abs(np.subtract(d.zs, _build_zs(d.xpp, d.phases)))))
     structural = [
         ("reconstruction", inv.reconstruction),
         ("weight-identity", abs(lamw - predicted)),
@@ -583,6 +581,7 @@ def verify_optimality(rho, d, tol=1e-8):
     ]
     if inv.boundary is not None:
         structural.append(("boundary", inv.boundary))
+    structural += [("lambdas-pp", lpp), ("ensemble-phases", rebuilt)]
 
     checks = [
         StructuralCheck(name=n, residual=r, tol=tol, passed=bool(r <= tol))
@@ -619,27 +618,24 @@ def verify_optimality(rho, d, tol=1e-8):
         # pairwise conditions are vacuous at weight zero
     else:
         anchor = x1
-        single_idx, indep, dep = _ENTANGLED_RECORDS[cls]
-    singles = _single_records(zs, lams, single_idx, anchor, coeff) if single_idx else []
-    pairs = _independent_pair_records(zs, lams, indep, anchor, coeff) if indep else []
+        single_idx, indep, dep = _ENTANGLED_FAMILIES[cls]
+    families = [g for g in ([(a,) for a in single_idx], indep) if g]
+    margin = _independence_margin(zs, lams, families, anchor, coeff)
+    pairs = []
     if dep and rest > 0.0:
         g = (1.0 - lamw) * float(lam[0]) / rest
-        pairs += _dependent_pair_records(zs, lams, dep, x1, coeff, g)
+        pairs = _dependent_pair_records(zs, lams, dep, x1, coeff, g)
 
-    residuals = [c.residual for c in checks]
-    residuals += [s.residual for s in singles]
-    residuals += [p.residual for p in pairs]
-    max_residual = max(residuals) if residuals else 0.0
+    residuals = [c.residual for c in checks] + [p.residual for p in pairs]
     verdict = all(c.passed for c in checks)
-    verdict = verdict and all(s.residual <= tol for s in singles)
     verdict = verdict and all(p.residual <= tol for p in pairs)
     return OptimalityReport(
         rank_class=cls,
-        single=tuple(singles),
+        independence_margin=margin,
         pairwise=tuple(pairs),
         structural=tuple(checks),
         verdict=bool(verdict),
-        max_residual=float(max_residual),
+        max_residual=float(max(residuals)),
     )
 
 

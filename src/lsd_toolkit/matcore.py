@@ -71,7 +71,17 @@ def herm_eig(h, tol=1e-10):
         raise ValueError("herm_eig expects a square matrix")
     if a.shape[0] == 0:
         return np.zeros(0), a
-    w, v = np.linalg.eigh(-_hermitian_part(a, tol))
+    # checked first: the residual test below lets non-finite input through,
+    # since NaN compares False and a diagonal inf*1j gives res = scale = inf
+    _check_finite(a)
+    ah = a.conj().T
+    res = np.abs(a - ah).max()
+    # the bound is at least tol, so only a larger residual needs the scale
+    if res > tol:
+        bound = tol * max(1.0, np.abs(a).max())
+        if res > bound:
+            raise NotHermitian("max|h - h^dag| = %.3e exceeds %.3e" % (res, bound))
+    w, v = np.linalg.eigh(-((a + ah) / 2.0))
     # 0.0 - w, unlike -w, turns an exact zero eigenvalue into +0.0
     return 0.0 - w, v
 
@@ -93,32 +103,6 @@ def _check_finite(a):
     """Raise NotHermitian when an entry of a matrix or a stack is not finite."""
     if not np.all(np.isfinite(a)):
         raise NotHermitian("matrix has non-finite entries")
-
-
-def _hermitian_part(a, tol=1e-10):
-    """(a + a^dag) / 2 of a matrix or a stack (..., n, n), after checks.
-
-    Raises NotHermitian when an entry is not finite, or when a slice's
-    max|a - a^dag| exceeds tol relative to the larger of 1 and its largest
-    entry magnitude; the first such slice is the one reported.
-    """
-    # checked first: the residual test below lets non-finite input through,
-    # since NaN compares False and a diagonal inf*1j gives res = scale = inf
-    _check_finite(a)
-    ah = a.conj().swapaxes(-1, -2)
-    diff = np.abs(a - ah)
-    # every slice's bound is at least tol, so only a larger residual needs
-    # the per-slice scales
-    if diff.max() > tol:
-        res = diff.max(axis=(-2, -1)).reshape(-1)
-        bound = tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1))).reshape(-1)
-        bad = np.flatnonzero(res > bound)
-        if bad.size:
-            i = bad[0]
-            raise NotHermitian(
-                "max|h - h^dag| = %.3e exceeds %.3e" % (res[i], bound[i])
-            )
-    return (a + ah) / 2.0
 
 
 def psd_sqrt(p, tol=1e-10):
@@ -219,22 +203,38 @@ class DualBasis:
     dual: tuple
 
 
-def _checked_svd(x, error, message, power=1):
-    """Thin SVD (u, s, vh) of each slice of a stack (K, n, k), after checks.
+# the condition tests: (error, message, power) for families, whose
+# (s_min / s_max)**2 is the reciprocal condition of their Gram matrix,
+# and for coefficient blocks
+_DEPENDENT = (DependentVectors, "gram reciprocal condition %.3e below 1e-12", 2)
+_SINGULAR = (SingularCoefficients, "reciprocal condition %.3e below 1e-12", 1)
 
-    Raises NotHermitian when an entry is not finite, and error, for the
-    first such slice, when (s_min / s_max)**power drops below 1e-12.  A
-    slice with s_max = 0, or with more columns than rows, has ratio 0.
+
+def _check_condition(s, error, message, power):
+    """Raise error, for the first such row of a stack s of descending
+    singular values, when (s_min / s_max)**power drops below 1e-12.
+
+    A row with s_max = 0 has ratio 0.
     """
-    _check_finite(x)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
     rc = np.zeros(len(s))
-    if x.shape[2] <= x.shape[1]:
-        np.divide(s[:, -1], s[:, 0], out=rc, where=s[:, 0] > 0.0)
+    np.divide(s[:, -1], s[:, 0], out=rc, where=s[:, 0] > 0.0)
     rc = rc**power
     bad = np.flatnonzero(rc < 1e-12)
     if bad.size:
         raise error(message % rc[bad[0]])
+
+
+def _checked_svd(x, error, message, power):
+    """Thin SVD (u, s, vh) of each slice of a stack (K, n, k), after checks.
+
+    Raises NotHermitian when an entry is not finite, and error through
+    _check_condition.  A slice with more columns than rows has ratio 0.
+    """
+    _check_finite(x)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    _check_condition(
+        s if x.shape[2] <= x.shape[1] else np.zeros_like(s), error, message, power
+    )
     return u, s, vh
 
 
@@ -258,9 +258,7 @@ def dual_basis(vectors):
         if not vecs:
             raise ValueError("dual_basis expects at least one vector")
         phi = np.column_stack(vecs)[None]
-    u, s, vh = _checked_svd(
-        phi, DependentVectors, "gram reciprocal condition %.3e below 1e-12", 2
-    )
+    u, s, vh = _checked_svd(phi, *_DEPENDENT)
     phihat = (u / s[:, None, :]) @ vh
     if stacked:
         return DualBasis(primal=phi, dual=phihat)
@@ -288,9 +286,7 @@ def restricted_inverse(coeffs, basis):
         raise ValueError("coefficient matrix shape does not match the basis")
     if not stacked:
         a = a[None]
-    u, s, vh = _checked_svd(
-        a, SingularCoefficients, "reciprocal condition %.3e below 1e-12"
-    )
+    u, s, vh = _checked_svd(a, *_SINGULAR)
     ainv = (vh.conj().swapaxes(1, 2) / s[:, None, :]) @ u.conj().swapaxes(1, 2)
     minv = phihat @ ainv @ phihat.conj().swapaxes(1, 2)
     return minv if stacked else minv[0]

@@ -274,6 +274,8 @@ class TestGenerate:
                 analyzed.append(main(argv + ["--output", "/dev/null"]))
         assert len(analyzed) >= 30
         assert 2 not in generated + analyzed, capsys.readouterr().err
+        # a squeezed state gets a certified split or a typed error
+        assert 4 not in analyzed
 
     def test_failed_residual_check_exits_three(self, capsys):
         # the absolute 1e-9 orthogonality check of YMatrix fails on rounding

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from lsd_toolkit.errors import (
+    DependentVectors,
     LsdToolkitError,
     NoPurePart,
     PhaseConstraintViolated,
     RankMismatch,
+    SingularCoefficients,
 )
 from lsd_toolkit.lsd import (
     average_concurrence,
@@ -294,9 +296,8 @@ class TestVerifyOptimality:
         assert rep.verdict
         assert rep.rank_class == "full"
         assert rep.max_residual < 1e-8
-        assert len(rep.single) == 4
-        assert len(rep.pairwise) == 6
-        assert all(s.residual <= 1e-8 for s in rep.single)
+        assert 0.0 < rep.independence_margin <= 1.0
+        assert rep.pairwise == ()
         assert all(c.passed for c in rep.structural)
 
     def test_rank3_verdict_and_closed_forms(self):
@@ -339,6 +340,20 @@ class TestVerifyOptimality:
         d = ls_decompose(sample_random(13, rank=2))
         with pytest.raises(RankMismatch):
             verify_optimality(sample_random(1, rank=4), d)
+
+    def test_dependent_family_raises(self):
+        rho = sample_random(1, rank=4)
+        d = ls_decompose(rho)
+        zs = (d.zs[0], d.zs[0], d.zs[2], d.zs[3])
+        with pytest.raises(DependentVectors, match="gram reciprocal condition"):
+            verify_optimality(rho, dataclasses.replace(d, zs=zs))
+
+    def test_singular_coefficients_raise(self):
+        # weight 1 on an entangled class makes the anchor's coefficient 0
+        rho = sample_random(1, rank=4)
+        d = ls_decompose(rho)
+        with pytest.raises(SingularCoefficients, match="reciprocal condition"):
+            verify_optimality(rho, dataclasses.replace(d, weight=1.0))
 
     def test_rejects_shifted_weight(self):
         rho = sample_random(1, rank=4)
@@ -428,50 +443,6 @@ def _ref_sandwich(minv, u, v):
     return complex(np.conj(u) @ minv @ v)
 
 
-def _ref_single(alpha, z, anchor, coeff):
-    lam_a = float(np.vdot(z, z).real)
-    if anchor is None:
-        basis = matcore.dual_basis([z])
-        minv = matcore.restricted_inverse(np.array([[lam_a]]), basis)
-    else:
-        basis = matcore.dual_basis([z, anchor])
-        minv = matcore.restricted_inverse(
-            np.diag([lam_a, coeff]).astype(complex), basis
-        )
-    measured = 1.0 / _ref_sandwich(minv, z, z).real
-    return lsd.SingleCheck(
-        alpha=alpha, lam=lam_a, measured=measured, residual=abs(measured - lam_a)
-    )
-
-
-def _ref_pair(a, b, za, zb, anchor, coeff):
-    lam_a = float(np.vdot(za, za).real)
-    lam_b = float(np.vdot(zb, zb).real)
-    if anchor is None:
-        basis = matcore.dual_basis([za, zb])
-        coeffs = np.diag([lam_a, lam_b])
-    else:
-        basis = matcore.dual_basis([za, zb, anchor])
-        coeffs = np.diag([lam_a, lam_b, coeff])
-    minv = matcore.restricted_inverse(coeffs.astype(complex), basis)
-    cross = _ref_sandwich(minv, za, zb)
-    diag_a = 1.0 / _ref_sandwich(minv, za, za).real
-    diag_b = 1.0 / _ref_sandwich(minv, zb, zb).real
-    return lsd.PairCheck(
-        alpha=a,
-        beta=b,
-        lam_a=lam_a,
-        lam_b=lam_b,
-        cross=cross,
-        diag_a=diag_a,
-        diag_b=diag_b,
-        gamma=None,
-        reproduced_a=None,
-        reproduced_b=None,
-        residual=max(abs(cross), abs(diag_a - lam_a), abs(diag_b - lam_b)),
-    )
-
-
 def _ref_dependent_pair(a, b, za, zb, x1, coeff, g):
     lam_a = float(np.vdot(za, za).real)
     lam_b = float(np.vdot(zb, zb).real)
@@ -510,56 +481,54 @@ def _ref_dependent_pair(a, b, za, zb, x1, coeff, g):
     )
 
 
-def _ref_records(rho, d):
-    """The certificate's records, one scalar dual_basis and
-    restricted_inverse per record, in the order they are reported."""
+def _ref_families(rho, d):
+    """The certificate's families in the order it checks them, and its
+    closed-form pairs, one scalar dual_basis and restricted_inverse each."""
     w = wootters_basis(rho)
     x1 = w.xs[0]
     zs = d.zs
     lamw = float(d.weight)
     coeff = (1.0 - lamw) / lamw if lamw > 1e-12 else (1.0 - lamw)
     parallel = lsd._parallel
-    singles, pairs = [], []
     if d.rank_class == "separable":
         live = [a for a in range(4) if float(np.vdot(zs[a], zs[a]).real) > 1e-14]
-        for a in live:
-            singles.append(_ref_single(a, zs[a], None, None))
-        for i, a in enumerate(live):
-            for b in live[i + 1 :]:
-                if not parallel(zs[a], zs[b]):
-                    pairs.append(_ref_pair(a, b, zs[a], zs[b], None, None))
-    elif d.rank_class == "pure":
+        singles = [[zs[a]] for a in live]
+        indep = [
+            [zs[a], zs[b]]
+            for i, a in enumerate(live)
+            for b in live[i + 1 :]
+            if not parallel(zs[a], zs[b])
+        ]
+        return singles + indep, []
+    if d.rank_class == "pure":
         distinct = []
         for a in range(4):
             if not any(parallel(zs[a], zs[b]) for b in distinct):
                 distinct.append(a)
-        for a in distinct:
-            singles.append(_ref_single(a, zs[a], d.pure, coeff))
-    else:
-        _, rest, _ = lsd._optimal_weight(w)
-        lam0 = float(w.lambdas.lambdas[0])
-        single_idx, indep, dep = {
-            "full": (
-                [0, 1, 2, 3],
-                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-                [],
-            ),
-            "rank3": (
-                [0, 1, 2, 3],
-                [(0, 1), (0, 2), (1, 3), (2, 3)],
-                [(0, 3), (1, 2)],
-            ),
-            "rank2": ([0, 2], [], [(0, 2)]),
-        }[d.rank_class]
-        for a in single_idx:
-            singles.append(_ref_single(a, zs[a], x1, coeff))
-        for a, b in indep:
-            pairs.append(_ref_pair(a, b, zs[a], zs[b], x1, coeff))
-        if rest > 0.0:
-            g = (1.0 - lamw) * lam0 / rest
-            for a, b in dep:
-                pairs.append(_ref_dependent_pair(a, b, zs[a], zs[b], x1, coeff, g))
-    return singles, pairs
+        return [[zs[a], d.pure] for a in distinct], []
+    _, rest, _ = lsd._optimal_weight(w)
+    lam0 = float(w.lambdas.lambdas[0])
+    single_idx, indep, dep = {
+        "full": (
+            [0, 1, 2, 3],
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+            [],
+        ),
+        "rank3": (
+            [0, 1, 2, 3],
+            [(0, 1), (0, 2), (1, 3), (2, 3)],
+            [(0, 3), (1, 2)],
+        ),
+        "rank2": ([0, 2], [], [(0, 2)]),
+    }[d.rank_class]
+    families = [[zs[a], x1] for a in single_idx]
+    families += [[zs[a], zs[b], x1] for a, b in indep]
+    pairs = []
+    if rest > 0.0:
+        g = (1.0 - lamw) * lam0 / rest
+        for a, b in dep:
+            pairs.append(_ref_dependent_pair(a, b, zs[a], zs[b], x1, coeff, g))
+    return families, pairs
 
 
 def _bits(record):
@@ -567,7 +536,8 @@ def _bits(record):
 
 
 class TestStackedCertificate:
-    """The stacked records equal one scalar solve per record, bit for bit."""
+    """The stacked closed-form pairs equal one scalar solve per pair, bit
+    for bit, and the margin is the worst of the per-family SVDs."""
 
     STATES = {
         "rank1": lambda: sample_random(2, rank=1),
@@ -586,21 +556,25 @@ class TestStackedCertificate:
         rho = self.STATES[name]()
         d = ls_decompose(rho)
         rep = verify_optimality(rho, d)
-        singles, pairs = _ref_records(rho, d)
-        assert len(rep.single) == len(singles) > 0
+        families, pairs = _ref_families(rho, d)
         assert len(rep.pairwise) == len(pairs)
-        for got, want in zip(rep.single + rep.pairwise, singles + pairs):
+        for got, want in zip(rep.pairwise, pairs):
             assert got == want
             assert _bits(got) == _bits(want)
+        ratios = []
+        for fam in families:
+            s = np.linalg.svd(np.column_stack(fam), full_matrices=False)[1]
+            ratios.append(s[-1] / s[0])
+        assert rep.independence_margin == min(ratios)
 
     def test_reference_covers_every_branch(self):
         kinds = set()
         for make in self.STATES.values():
             rho = make()
             d = ls_decompose(rho)
-            _, pairs = _ref_records(rho, d)
+            _, pairs = _ref_families(rho, d)
             kinds.add(d.rank_class)
-            kinds.update("closed-form" for p in pairs if p.gamma is not None)
+            kinds.update("closed-form" for p in pairs)
         assert kinds == {"pure", "rank2", "rank3", "full", "separable", "closed-form"}
 
 
@@ -632,7 +606,7 @@ class TestJsonRoundTrip:
         assert again.verdict == rep.verdict
         assert again.max_residual == rep.max_residual
         assert again.rank_class == rep.rank_class
-        assert len(again.single) == len(rep.single)
+        assert again.independence_margin == rep.independence_margin
         assert len(again.pairwise) == len(rep.pairwise)
         for a, b in zip(again.pairwise, rep.pairwise):
             assert a.alpha == b.alpha and a.beta == b.beta
@@ -669,7 +643,7 @@ class TestOncePerState:
         assert rep.verdict
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("rank, batches", [(1, 2), (2, 4), (3, 6), (4, 4)])
+    @pytest.mark.parametrize("rank, batches", [(1, 1), (2, 3), (3, 4), (4, 2)])
     def test_certificate_solves_one_batch_per_record_family(
         self, rank, batches, monkeypatch
     ):

@@ -403,12 +403,3 @@ class TestStackedKernels:
         coeffs[4, 1, 1] = np.inf
         with pytest.raises(NotHermitian):
             restricted_inverse(coeffs, db)
-
-    def test_non_hermitian_slice_raises(self):
-        # the kernels only test Gram products, Hermitian by construction,
-        # so the shared check is exercised on a stack directly
-        h = random_coefficients(4, 3)
-        matcore._hermitian_part(h)
-        h[2, 0, 1] += 1e-3
-        with pytest.raises(NotHermitian, match="exceeds"):
-            matcore._hermitian_part(h)

@@ -376,7 +376,7 @@ def _records():
     for rho in states:
         d = ls_decompose(rho)
         rep = verify_optimality(rho, d)
-        out += [d, rep, *rep.single, *rep.pairwise, *rep.structural]
+        out += [d, rep, *rep.pairwise, *rep.structural]
     out += [
         _random_params(3),
         CosetParams(lambdas=(0.4, 0.3, 0.2, 0.1), theta=(-0.0, 0.0), xi=(0, 0), phi=(0, -0.0)),
@@ -393,7 +393,6 @@ class TestCodecRoundTrip:
             "DensityMatrix",
             "LSDecomposition",
             "OptimalityReport",
-            "SingleCheck",
             "PairCheck",
             "StructuralCheck",
             "CosetParams",
@@ -422,7 +421,12 @@ class TestCodecRoundTrip:
             "weight", "rank_class", "sep", "pure", "xpp", "lambdas_pp", "zs", "phases",
         ]
         assert list(to_json(verify_optimality(rho, d))) == [
-            "rank_class", "verdict", "max_residual", "single", "pairwise", "structural",
+            "rank_class",
+            "verdict",
+            "max_residual",
+            "independence_margin",
+            "pairwise",
+            "structural",
         ]
         assert list(to_json(rho)) == ["matrix"]
 
@@ -454,7 +458,7 @@ def _malformed_inputs():
     case(type(d), split, ["pure", 0], "0.5", ValueError)
     case(type(d), split, ["rank_class"], 3, ValueError)
     case(type(d), split, ["zs"], KeyError, KeyError)
-    case(OptimalityReport, report, ["single", 0, "lam"], None, ValueError)
+    case(OptimalityReport, report, ["pairwise", 0, "lam_a"], None, ValueError)
     case(OptimalityReport, report, ["structural", 0], [0.0], TypeError)
     case(OptimalityReport, report, ["verdict"], 1, ValueError)
     case(CosetParams, params, ["xi", 1], "0", ValueError)
