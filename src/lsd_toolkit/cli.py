@@ -32,7 +32,7 @@ from .lsd import (
     verify_optimality,
 )
 from .qstate import DensityMatrix, from_json, lambda_spectrum, to_json
-from .suites import _random_params, run_coset_suite, run_lsd_suite, run_wootters_suite
+from .suites import SUITES, _random_params
 from .wootters import _concurrence_of, _eof_of
 
 log = logging.getLogger("lsd_toolkit")
@@ -199,20 +199,13 @@ def cmd_generate(args):
     return 0
 
 
-_SUITES = {
-    "wootters": run_wootters_suite,
-    "lsd": run_lsd_suite,
-    "coset": run_coset_suite,
-}
-
-
 def cmd_verify(args):
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     results = {}
     first_fail = None
     t0 = time.perf_counter()
     for nm in names:
-        rs = _SUITES[nm](n=args.n, seed=args.seed, tol=args.tol)
+        rs = SUITES[nm](n=args.n, seed=args.seed, tol=args.tol)
         results[nm] = [to_json(r) for r in rs]
         for r in rs:
             if not r.passed and first_fail is None:
@@ -302,7 +295,7 @@ def _build_parser():
     pv = sub.add_parser("verify", help="randomized property suites")
     pv.add_argument(
         "--suite",
-        choices=("wootters", "lsd", "coset", "all"),
+        choices=(*SUITES, "all"),
         default="all",
         help="which suite to run",
     )

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
 from .matcore import support
 from .qstate import SIGMA_YY, DensityMatrix, SpectrumLambda, from_json, to_json
-from .wootters import WoottersDecomposition
+from .wootters import WoottersDecomposition, _zero_threshold
 
 __all__ = [
     "O_MAT",
@@ -99,7 +99,8 @@ class XMatrix:
     def __post_init__(self):
         m = np.array(self.m, dtype=complex).reshape(4, 4)
         resid = np.max(np.abs(m.T @ SIGMA_YY @ m - np.eye(4)))
-        if resid > 1e-9:
+        # written "not resid <= tol" so that a NaN residual fails too
+        if not resid <= 1e-9:
             raise ResidualCheckFailed(
                 "columns not orthonormal under the spin-flip form (%.3e)" % resid
             )
@@ -115,7 +116,7 @@ class YMatrix:
     def __post_init__(self):
         m = np.array(self.m, dtype=complex).reshape(4, 4)
         resid = np.max(np.abs(m.T @ m - np.eye(4)))
-        if resid > 1e-9:
+        if not resid <= 1e-9:
             raise ResidualCheckFailed("matrix not complex orthogonal (%.3e)" % resid)
         object.__setattr__(self, "m", m)
 
@@ -127,7 +128,7 @@ def build_x(w):
     has no normalizable column.
     """
     lam = w.lambdas.lambdas
-    cut = 1e-8 * max(float(lam[0]), 1e-30)
+    cut = _zero_threshold(lam)
     if any(float(x) <= cut for x in lam):
         raise RankDeficient("overlap spectrum has a vanishing entry")
     cols = [np.array(w.xs[i]) / np.sqrt(float(lam[i])) for i in range(4)]

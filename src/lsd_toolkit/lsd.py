@@ -37,7 +37,7 @@ from .qstate import (
     spin_flip_vec,
     to_json,
 )
-from .wootters import wootters_basis
+from .wootters import _concurrence_of, _zero_threshold, wootters_basis
 
 __all__ = [
     "LSDecomposition",
@@ -108,6 +108,8 @@ class LSDecomposition:
         object.__setattr__(
             self, "zs", tuple(np.array(z, dtype=complex).reshape(4) for z in self.zs)
         )
+        if len(self.xpp) != 4 or len(self.zs) != 4:
+            raise ValueError("need exactly four xpp and four zs vectors")
         object.__setattr__(
             self, "lambdas_pp", np.array(self.lambdas_pp, dtype=float).reshape(4)
         )
@@ -132,10 +134,6 @@ def _build_zs(xpp, phases):
     return tuple(zs)
 
 
-def _zero_threshold(lam):
-    return 1e-8 * max(float(lam[0]), 1e-30)
-
-
 def _optimal_weight(w):
     """Optimal separable weight of an entangled state from its basis w.
 
@@ -153,8 +151,7 @@ def _optimal_weight(w):
 def _classify(rho, lam):
     """Rank class of a state given its lambda spectrum."""
     thr = _zero_threshold(lam)
-    c_raw = lam[0] - lam[1] - lam[2] - lam[3]
-    if c_raw <= thr:
+    if _concurrence_of(lam) <= thr:
         return "separable"
     nzero = int(np.sum(lam <= thr))
     if nzero == 3:
@@ -346,9 +343,7 @@ def ppt_check(rho):
     Returns (separable, min_pt_eigenvalue); separable is True when the
     smallest eigenvalue of the partial transpose is >= -1e-10.
     """
-    pt = _partial_transpose(rho.m)
-    pt = (pt + pt.conj().T) / 2.0
-    w, _ = herm_eig(pt)
+    w, _ = herm_eig(_partial_transpose(rho.m))
     mn = float(w[-1])
     return PptResult(separable=bool(mn >= -1e-10), min_pt_eigenvalue=mn)
 

@@ -2,15 +2,14 @@
 
 A Hermitian eigendecomposition (np.linalg.eigh behind finiteness and
 hermiticity checks), positive semidefinite square roots, Takagi
-factorization of complex symmetric matrices, a real 2x2 singular value
-decomposition with proper rotations, and dual-basis / restricted-inverse
-helpers.  Everything is sized for the 2x2 and 4x4 matrices used
-elsewhere in the package.  Every eigenpair in the package comes from
-herm_eig, and takagi takes one of them, of a real embedding of tau.  The
-dual basis and the restricted inverse work on stacks of families, each
-from one batched SVD of the stack itself, which also gives the
-conditioning it is tested on.  No Gram matrix or other square of an
-input is formed, so no condition number is squared.
+factorization of complex symmetric matrices, and dual-basis /
+restricted-inverse helpers.  Everything is sized for the 2x2 and 4x4
+matrices used elsewhere in the package.  Every eigenpair in the package
+comes from herm_eig, and takagi takes one of them, of a real embedding
+of tau.  The dual basis and the restricted inverse work on stacks of
+families, each from one batched SVD of the stack itself, which also
+gives the conditioning it is tested on.  No Gram matrix or other square
+of an input is formed, so no condition number is squared.
 
 The trailing lambdas of a low-rank state come out as exact zeros not
 because of the solver but because of one support cut, support(w):
@@ -37,7 +36,6 @@ __all__ = [
     "psd_sqrt",
     "TakagiFactorization",
     "takagi",
-    "svd2_real",
     "DualBasis",
     "dual_basis",
     "restricted_inverse",
@@ -168,26 +166,6 @@ def takagi(tau, tol=1e-10):
         q, _ = np.linalg.qr(np.hstack([v[:, :r], np.eye(n)]))
         v[:, r:] = q[:, r:n]
     return TakagiFactorization(u=v.conj().T, lambdas=lam)
-
-
-def svd2_real(c):
-    """Real 2x2 singular value decomposition with proper rotations.
-
-    Returns (o1, d, o2) with c = o1 @ diag(d) @ o2.T, both factors in
-    SO(2), d[0] >= |d[1]|, and d[1] carrying the sign of det(c).  One
-    np.linalg.svd call; each factor with determinant -1 gets its second
-    column negated, and d[1] with it, which keeps the product.
-    """
-    m = np.array(c, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError("svd2_real expects a real 2x2 matrix")
-    o1, d, o2t = np.linalg.svd(m)
-    o2 = o2t.T
-    for o in (o1, o2):
-        if np.linalg.det(o) < 0.0:
-            o[:, 1] = -o[:, 1]
-            d[1] = -d[1]
-    return o1, d, o2
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,6 +120,8 @@ class SpectrumLambda:
         arr = np.array(self.lambdas, dtype=float)
         if arr.shape != (4,):
             raise ValueError("lambda spectrum must have four entries")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("lambda spectrum must be finite")
         if np.any(arr < -1e-12) or np.any(arr[:-1] < arr[1:] - 1e-12):
             raise ValueError("lambda spectrum must be non-negative and descending")
         object.__setattr__(self, "lambdas", np.clip(arr, 0.0, None))

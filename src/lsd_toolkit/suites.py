@@ -23,14 +23,7 @@ from .coset import (
     y_factor,
     y_from_x,
 )
-from .lsd import (
-    _checked_tol,
-    average_concurrence,
-    ls_decompose,
-    ppt_check,
-    split_invariants,
-    verify_optimality,
-)
+from .lsd import _checked_tol, average_concurrence, ls_decompose, verify_optimality
 from .qstate import (
     SIGMA_YY,
     DensityMatrix,
@@ -46,6 +39,7 @@ __all__ = [
     "run_lsd_suite",
     "run_coset_suite",
     "run_all_suites",
+    "SUITES",
 ]
 
 
@@ -146,7 +140,10 @@ def _random_pure(seed):
 
 
 def run_lsd_suite(n=100, seed=0, tol=None):
-    """Split, ensemble, and certificate identities on random states."""
+    """Split, ensemble, and certificate identities on random states.
+
+    The split residuals are read from the certificate's structural checks.
+    """
     trk = _trackers(
         [
             ("split-reconstruction", 1e-9),
@@ -166,19 +163,18 @@ def run_lsd_suite(n=100, seed=0, tol=None):
         else:
             rho = sample_random(s, rank=2 + k % 3)
         d = ls_decompose(rho)
-        inv = split_invariants(rho, d)
-        recon.add(s, inv.reconstruction)
+        rep = verify_optimality(rho, d, tol=cert.tol)
+        checks = {c.name: c.residual for c in rep.structural}
+        recon.add(s, checks["reconstruction"])
+        sep_ppt.add(s, checks["separable-ppt"])
 
-        ppt = ppt_check(d.sep)
-        sep_ppt.add(s, max(0.0, -ppt.min_pt_eigenvalue))
-
-        if inv.boundary is not None:
-            boundary.add(s, inv.boundary)
+        # the certificate has a boundary check unless the split is separable
+        if "boundary" in checks:
+            boundary.add(s, checks["boundary"])
             avg_c.add(s, abs(average_concurrence(d) - concurrence(rho)))
 
-        zero_c.add(s, inv.zero_concurrence)
+        zero_c.add(s, checks["zero-concurrence"])
 
-        rep = verify_optimality(rho, d, tol=cert.tol)
         cert.add(s, rep.max_residual if rep.verdict else max(rep.max_residual, 1.0))
     return [t.result() for t in trk]
 
@@ -216,10 +212,9 @@ def run_coset_suite(n=200, seed=0, tol=None):
         ortho.add(s, np.max(np.abs(y.m.T @ y.m - np.eye(4))))
 
         res = coset_generate(p)
+        lam = lambda_spectrum_raw(res.rho.m)
         lam_target = np.array(p.lambdas) / res.trace_factor
-        spectrum.add(
-            s, np.max(np.abs(lambda_spectrum_raw(res.rho.m) - lam_target))
-        )
+        spectrum.add(s, np.max(np.abs(lam - lam_target)))
 
         x = build_x(res.wootters)
         roundtrip.add(s, np.max(np.abs(y_from_x(x).m - y.m)))
@@ -228,12 +223,7 @@ def run_coset_suite(n=200, seed=0, tol=None):
         rng = np.random.default_rng(10_000_000 + s)
         u1, u2 = haar_su2(rng), haar_su2(rng)
         rotated = local_unitary_action(u1, u2, res.rho)
-        orbit.add(
-            s,
-            np.max(
-                np.abs(lambda_spectrum_raw(rotated.m) - lambda_spectrum_raw(res.rho.m))
-            ),
-        )
+        orbit.add(s, np.max(np.abs(lambda_spectrum_raw(rotated.m) - lam)))
 
         r1 = so4r_image(u1, u2)
         v1, v2 = haar_su2(rng), haar_su2(rng)
@@ -250,10 +240,14 @@ def run_coset_suite(n=200, seed=0, tol=None):
     return [t.result() for t in trk]
 
 
+# the suites by name, in the order run_all_suites and verify --suite all run them
+SUITES = {
+    "wootters": run_wootters_suite,
+    "lsd": run_lsd_suite,
+    "coset": run_coset_suite,
+}
+
+
 def run_all_suites(n=100, seed=0, tol=None):
-    """All three suites with a shared case count; returns {suite: results}."""
-    return {
-        "wootters": run_wootters_suite(n=n, seed=seed, tol=tol),
-        "lsd": run_lsd_suite(n=n, seed=seed, tol=tol),
-        "coset": run_coset_suite(n=n, seed=seed, tol=tol),
-    }
+    """Every suite with a shared case count; returns {suite: results}."""
+    return {name: run(n=n, seed=seed, tol=tol) for name, run in SUITES.items()}

@@ -33,20 +33,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TauMatrix:
-    """Symmetric spin-flip overlap matrix tau_ij = <v_i|vtilde_j>."""
+    """Symmetric spin-flip overlap matrix tau_ij = <v_i|vtilde_j>.
+
+    Symmetric by construction; takagi, which factorizes it, checks that.
+    """
 
     tau: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.tau, dtype=complex)
-        if arr.shape != (4, 4):
-            raise ValueError("tau must be 4x4")
-        res = float(np.max(np.abs(arr - arr.T)))
-        if res > 1e-10:
-            raise ResidualCheckFailed(
-                "tau not symmetric, max|tau - tau.T| = %.3e" % res
-            )
-        object.__setattr__(self, "tau", arr)
 
 
 def tau_matrix(ens):
@@ -75,18 +67,19 @@ class WoottersDecomposition:
         if len(xs) != 4:
             raise ValueError("need exactly four vectors")
         u = np.array(self.u, dtype=complex)
-        if float(np.max(np.abs(u @ u.conj().T - np.eye(4)))) > 1e-9:
+        # written "not res <= tol" so that a NaN residual fails too
+        if not float(np.max(np.abs(u @ u.conj().T - np.eye(4)))) <= 1e-9:
             raise ResidualCheckFailed("u is not unitary within 1e-9")
         lam = self.lambdas.lambdas
         x = np.column_stack(xs)
         overlap = x.conj().T @ SIGMA_YY @ np.conj(x)
         res = float(np.max(np.abs(overlap - np.diag(lam))))
-        if res > 1e-9:
+        if not res <= 1e-9:
             raise ResidualCheckFailed(
                 "tilde orthogonality residual %.3e exceeds 1e-9" % res
             )
         tr = float(sum(np.vdot(xi, xi).real for xi in xs))
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ResidualCheckFailed("norms sum to %.12f instead of 1" % tr)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "u", u)
@@ -140,6 +133,16 @@ def wootters_basis(rho):
     _read_only(*w.xs, w.lambdas.lambdas, w.u)
     object.__setattr__(rho, "_basis", w)
     return w
+
+
+def _zero_threshold(lam):
+    """The zero cut of a lambda spectrum, 1e-8 of its largest entry.
+
+    The rank class counts the entries at or below it as zeros, and the
+    state as separable when its concurrence is at or below it; build_x
+    refuses a spectrum with an entry at or below it.
+    """
+    return 1e-8 * max(float(lam[0]), 1e-30)
 
 
 def _concurrence_of(lam):

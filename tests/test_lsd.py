@@ -599,6 +599,14 @@ class TestJsonRoundTrip:
         assert again.pure is None
         assert again.weight == 1.0
 
+    @pytest.mark.parametrize("count", [3, 5])
+    @pytest.mark.parametrize("key", ["xpp", "zs"])
+    def test_rejects_other_than_four_vectors(self, key, count):
+        obj = json.loads(json.dumps(lsd_to_json(ls_decompose(sample_random(1, rank=4)))))
+        obj[key] = (obj[key] * 2)[:count]
+        with pytest.raises(ValueError, match="exactly four"):
+            lsd_from_json(obj)
+
     def test_report_exact(self):
         rho = sample_random(11, rank=3)
         rep = verify_optimality(rho, ls_decompose(rho))

@@ -14,7 +14,6 @@ from lsd_toolkit.matcore import (
     herm_eig,
     psd_sqrt,
     restricted_inverse,
-    svd2_real,
     takagi,
 )
 
@@ -231,44 +230,6 @@ class TestTakagi:
             calls.clear()
             takagi(tau)
             assert len(calls) == 1
-
-
-class TestSvd2Real:
-    def test_diagonal(self):
-        o1, d, o2 = svd2_real(np.diag([3.0, 2.0]))
-        assert np.allclose(o1 @ np.diag(d) @ o2.T, np.diag([3.0, 2.0]), atol=1e-14)
-        assert np.allclose(d, [3.0, 2.0])
-
-    def test_reflection_gets_negative_d1(self):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        o1, d, o2 = svd2_real(m)
-        assert d[0] >= abs(d[1])
-        assert d[1] < 0.0
-        assert np.allclose(o1 @ np.diag(d) @ o2.T, m, atol=1e-14)
-
-    def test_zero_matrix(self):
-        o1, d, o2 = svd2_real(np.zeros((2, 2)))
-        assert np.allclose(d, [0.0, 0.0])
-        assert np.allclose(o1 @ np.diag(d) @ o2.T, np.zeros((2, 2)))
-
-    def test_rank_one(self):
-        m = np.outer([1.0, 2.0], [3.0, -1.0])
-        o1, d, o2 = svd2_real(m)
-        assert np.allclose(o1 @ np.diag(d) @ o2.T, m, atol=1e-13)
-        assert abs(d[1]) < 1e-13
-
-    def test_random(self):
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            m = rng.standard_normal((2, 2))
-            o1, d, o2 = svd2_real(m)
-            assert np.max(np.abs(o1 @ np.diag(d) @ o2.T - m)) < 1e-13
-            assert abs(np.linalg.det(o1) - 1.0) < 1e-12
-            assert abs(np.linalg.det(o2) - 1.0) < 1e-12
-            assert d[0] >= abs(d[1]) - 1e-15
-            det = np.linalg.det(m)
-            if abs(det) > 1e-12:
-                assert np.sign(d[1]) == np.sign(det)
 
 
 class TestDualBasis:

@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from lsd_toolkit.coset import CosetParams, build_x, coset_generate, y_from_x
+from lsd_toolkit.coset import (
+    CosetParams,
+    XMatrix,
+    YMatrix,
+    build_x,
+    coset_generate,
+    y_from_x,
+)
 from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace, ResidualCheckFailed
 from lsd_toolkit.lsd import OptimalityReport, ls_decompose, verify_optimality
 from lsd_toolkit.qstate import (
@@ -26,7 +33,7 @@ from lsd_toolkit.qstate import (
 )
 from lsd_toolkit.matcore import SUPPORT_EPS, dual_basis, takagi
 from lsd_toolkit.suites import _random_params, run_lsd_suite, run_wootters_suite
-from lsd_toolkit.wootters import tau_matrix, wootters_basis
+from lsd_toolkit.wootters import WoottersDecomposition, tau_matrix, wootters_basis
 
 E = np.eye(4)
 PHI_P = (E[:, 0] + E[:, 3]) / np.sqrt(2.0)
@@ -162,6 +169,30 @@ class TestRecordEquality:
             assert (a == a) is True
             assert hash(a) == hash(a)
         assert len(set(self.records(1))) == 10
+
+
+def _nan_basis():
+    lambdas = wootters_basis(sample_random(2)).lambdas
+    nan = np.full(4, np.nan)
+    return WoottersDecomposition(xs=(nan,) * 4, lambdas=lambdas, u=np.full((4, 4), np.nan))
+
+
+class TestRecordsRejectNaN:
+    """A NaN residual fails a record's check, as a residual over tol does."""
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: SpectrumLambda(np.full(4, np.nan)), ValueError),
+            (_nan_basis, ResidualCheckFailed),
+            (lambda: XMatrix(np.full((4, 4), np.nan)), ResidualCheckFailed),
+            (lambda: YMatrix(np.full((4, 4), np.nan)), ResidualCheckFailed),
+        ],
+        ids=["SpectrumLambda", "WoottersDecomposition", "XMatrix", "YMatrix"],
+    )
+    def test_all_nan_input_raises(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestSpinFlip:

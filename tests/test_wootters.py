@@ -15,7 +15,6 @@ from lsd_toolkit.wootters import (
     entanglement_of_formation,
     pure_state_entropy,
     tau_matrix,
-    TauMatrix,
     wootters_basis,
     WoottersDecomposition,
 )
@@ -56,16 +55,6 @@ class TestTauMatrix:
         for seed in range(40):
             tau = tau_matrix(eigen_ensemble(sample_random(seed))).tau
             assert np.max(np.abs(tau - tau.T)) < 1e-12
-
-    def test_rejects_asymmetric(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            TauMatrix(tau=m)
-
-    def test_rejects_shape(self):
-        with pytest.raises(ValueError):
-            TauMatrix(tau=np.zeros((3, 3)))
 
 
 class TestWoottersBasis:
@@ -157,10 +146,6 @@ class TestWoottersDecompositionValidation:
         for xs, u in ((w.xs, 2.0 * w.u), (bad_norms, w.u)):
             with pytest.raises(ResidualCheckFailed):
                 WoottersDecomposition(xs=xs, lambdas=w.lambdas, u=u)
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 1] = 1.0
-        with pytest.raises(ResidualCheckFailed):
-            TauMatrix(tau=m)
 
 
 class TestConcurrence:
