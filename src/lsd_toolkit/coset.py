@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
 from .matcore import support
-from .qstate import SIGMA_YY, DensityMatrix, SpectrumLambda, from_json, to_json
+from .qstate import (
+    SIGMA_YY, DensityMatrix, SpectrumLambda, _outer_sum, from_json, to_json
+)
 from .wootters import WoottersDecomposition, _zero_threshold
 
 __all__ = [
@@ -131,8 +133,7 @@ def build_x(w):
     cut = _zero_threshold(lam)
     if any(float(x) <= cut for x in lam):
         raise RankDeficient("overlap spectrum has a vanishing entry")
-    cols = [np.array(w.xs[i]) / np.sqrt(float(lam[i])) for i in range(4)]
-    return XMatrix(np.column_stack(cols))
+    return XMatrix((w.xs / np.sqrt(lam)[:, None]).T)
 
 
 def y_from_x(x):
@@ -189,17 +190,14 @@ def coset_generate(params):
         raise ZeroState("all target lambdas vanish")
     y = y_factor(params)
     xm = O_MAT @ ETA_INV @ y.m
-    xs_raw = [np.sqrt(lam[i]) * xm[:, i] for i in range(4)]
+    xs_raw = np.sqrt(lam)[:, None] * xm.T
     t = float(sum(np.vdot(x, x).real for x in xs_raw))
-    rho_m = np.zeros((4, 4), dtype=complex)
-    for x in xs_raw:
-        rho_m = rho_m + np.outer(x, np.conj(x))
-    rho = DensityMatrix(rho_m / t)
-    xs = tuple(x / np.sqrt(t) for x in xs_raw)
+    rho = DensityMatrix(_outer_sum(xs_raw) / t)
+    xs = xs_raw / np.sqrt(t)
     mu, v = rho._eig
     sup = support(mu)
     rows = np.zeros((4, 4), dtype=complex)
-    rows[sup] = (v[:, sup].conj().T @ np.column_stack(xs)) / np.sqrt(mu[sup, None])
+    rows[sup] = (v[:, sup].conj().T @ xs.T) / np.sqrt(mu[sup, None])
     a, _, bh = np.linalg.svd(rows)
     u = (a @ bh).conj().T
     w = WoottersDecomposition(
@@ -210,10 +208,11 @@ def coset_generate(params):
 
 def _check_su2(u, name):
     u = np.array(u, dtype=complex).reshape(2, 2)
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+    # written "not res <= tol" so that a NaN entry fails too
+    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
         raise NotSpecialUnitary("%s is not unitary" % name)
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    if abs(det - 1.0) > 1e-10:
+    if not abs(det - 1.0) <= 1e-10:
         raise NotSpecialUnitary("%s has determinant %r, expected 1" % (name, det))
     return u
 
@@ -235,7 +234,7 @@ def so4r_image(u1, u2):
     u1 = _check_su2(u1, "u1")
     u2 = _check_su2(u2, "u2")
     r = ETA @ O_MAT @ np.kron(u1, u2) @ O_MAT @ ETA_INV
-    if np.max(np.abs(r.imag)) > 1e-8:
+    if not np.max(np.abs(r.imag)) <= 1e-8:
         raise ValueError("image has an imaginary part; inputs outside SU(2)?")
     return r.real
 

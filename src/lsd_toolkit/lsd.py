@@ -33,6 +33,8 @@ from .qstate import (
     ComplexArray,
     DensityMatrix,
     RealArray,
+    _family,
+    _outer_sum,
     from_json,
     spin_flip_vec,
     to_json,
@@ -85,13 +87,17 @@ class LSDecomposition:
     normalized pure vector (None when the state itself is separable).
     xpp and lambdas_pp describe the boundary-state basis of sep, zs the
     four zero-concurrence product vectors built from it, and phases the
-    angles theta_j used for zs.
+    angles theta_j used for zs.  xpp and zs hold one vector per row of a
+    complex (4, 4) array.  Construction copies the arrays and raises
+    ValueError on another shape or on a non-finite entry.
     """
 
     weight: float
     rank_class: str
     sep: DensityMatrix
     pure: Optional[ComplexArray]
+    # read from JSON as a sequence of vectors, so that a family that is not
+    # a list raises TypeError there, as any sequence field does
     xpp: Tuple[ComplexArray, ...]
     lambdas_pp: RealArray
     zs: Tuple[ComplexArray, ...]
@@ -102,36 +108,24 @@ class LSDecomposition:
             raise ValueError("weight %.6f outside [0, 1]" % self.weight)
         if self.rank_class not in _RANK_CLASSES:
             raise ValueError("unknown rank class %r" % self.rank_class)
-        object.__setattr__(
-            self, "xpp", tuple(np.array(x, dtype=complex).reshape(4) for x in self.xpp)
-        )
-        object.__setattr__(
-            self, "zs", tuple(np.array(z, dtype=complex).reshape(4) for z in self.zs)
-        )
-        if len(self.xpp) != 4 or len(self.zs) != 4:
-            raise ValueError("need exactly four xpp and four zs vectors")
-        object.__setattr__(
-            self, "lambdas_pp", np.array(self.lambdas_pp, dtype=float).reshape(4)
-        )
-        object.__setattr__(
-            self, "phases", np.array(self.phases, dtype=float).reshape(4)
-        )
+        arrays = {
+            "xpp": _family(self.xpp, "xpp"),
+            "zs": _family(self.zs, "zs"),
+            "lambdas_pp": np.array(self.lambdas_pp, dtype=float).reshape(4),
+            "phases": np.array(self.phases, dtype=float).reshape(4),
+        }
         if self.pure is not None:
-            object.__setattr__(
-                self, "pure", np.array(self.pure, dtype=complex).reshape(4)
-            )
+            arrays["pure"] = np.array(self.pure, dtype=complex).reshape(4)
+        for name, arr in arrays.items():
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("%s has non-finite entries" % name)
+            object.__setattr__(self, name, arr)
 
 
 def _build_zs(xpp, phases):
-    """Four product vectors z_alpha = (1/2) sum_j H4[alpha,j] e^{i theta_j} x''_j."""
-    ph = np.exp(1j * np.array(phases, dtype=float))
-    zs = []
-    for a in range(4):
-        z = np.zeros(4, dtype=complex)
-        for j in range(4):
-            z = z + 0.5 * H4[a, j] * ph[j] * xpp[j]
-        zs.append(z)
-    return tuple(zs)
+    """Rows z_alpha = (1/2) sum_j H4[alpha,j] e^{i theta_j} x''_j, summed in j order."""
+    coef = 0.5 * H4 * np.exp(1j * np.array(phases, dtype=float))
+    return np.array([sum(c * x for c, x in zip(row, xpp)) for row in coef])
 
 
 def _optimal_weight(w):
@@ -233,14 +227,10 @@ def ls_decompose(rho):
         )
     weight, rest, lam_cls = _optimal_weight(w)
     x1 = w.xs[0]
-    xpp = [np.sqrt(rest / (weight * float(lam[0]))) * x1]
-    for j in (1, 2, 3):
-        xj = w.xs[j]
-        if float(np.vdot(xj, xj).real) <= 1e-24:
-            # rank-deficient column, kept identically zero
-            xpp.append(np.zeros(4, dtype=complex))
-        else:
-            xpp.append(xj / np.sqrt(weight))
+    xpp = w.xs / np.sqrt(weight)
+    xpp[0] = np.sqrt(rest / (weight * float(lam[0]))) * x1
+    # rank-deficient vectors, kept identically zero
+    xpp[1:][[float(np.vdot(x, x).real) <= 1e-24 for x in w.xs[1:]]] = 0.0
     lambdas_pp = np.array(
         [
             rest / weight,
@@ -249,14 +239,11 @@ def ls_decompose(rho):
             lam_cls[3] / weight,
         ]
     )
-    sepm = np.zeros((4, 4), dtype=complex)
-    for v in xpp:
-        sepm = sepm + np.outer(v, np.conj(v))
     return LSDecomposition(
         weight=float(weight),
-        sep=DensityMatrix(sepm),
+        sep=DensityMatrix(_outer_sum(xpp)),
         pure=x1 / np.sqrt(float(np.vdot(x1, x1).real)),
-        xpp=tuple(xpp),
+        xpp=xpp,
         lambdas_pp=lambdas_pp,
         zs=_build_zs(xpp, DEFAULT_PHASES),
         rank_class=cls,
@@ -277,7 +264,7 @@ def average_concurrence(d):
 
 
 def product_ensemble(d, phases=None):
-    """Zero-concurrence ensemble of the separable part.
+    """Zero-concurrence ensemble of the separable part, one vector per row.
 
     With phases=None the decomposition's own angles are used.  Explicit
     phases must satisfy |sum_j e^{2i theta_j} lambda''_j| <= 1e-9, else
@@ -288,7 +275,8 @@ def product_ensemble(d, phases=None):
     else:
         phases = np.array(phases, dtype=float).reshape(4)
         resid = abs(complex(np.sum(np.exp(2j * phases) * d.lambdas_pp)))
-        if resid > 1e-9:
+        # written "not resid <= tol" so that NaN phases fail too
+        if not resid <= 1e-9:
             raise PhaseConstraintViolated(
                 "phase constraint residual %.3e exceeds 1e-9" % resid
             )
@@ -313,9 +301,7 @@ def split_invariants(rho, d):
     recon = d.weight * d.sep.m
     if d.pure is not None:
         recon = recon + (1.0 - d.weight) * np.outer(d.pure, np.conj(d.pure))
-    zsum = np.zeros((4, 4), dtype=complex)
-    for z in d.zs:
-        zsum = zsum + np.outer(z, np.conj(z))
+    zsum = _outer_sum(d.zs)
     zc = max(abs(complex(np.vdot(z, spin_flip_vec(z)))) for z in d.zs)
     boundary = None
     if d.rank_class != "separable":
@@ -450,10 +436,10 @@ def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
     extracted coefficients of the explicit 4x4 operator, and the weights
     are then reproduced from the measured elements alone.
     """
-    za = np.array([zs[a] for a, _ in pairs])
-    zb = np.array([zs[b] for _, b in pairs])
-    la = np.array([lams[a] for a, _ in pairs])[:, None, None]
-    lb = np.array([lams[b] for _, b in pairs])[:, None, None]
+    ia, ib = np.array(pairs).T
+    za, zb = zs[ia], zs[ib]
+    la = np.array(lams)[ia, None, None]
+    lb = np.array(lams)[ib, None, None]
     basis = dual_basis(np.stack([za, zb], axis=2))
     mmat = (
         la * (za[:, :, None] * np.conj(za)[:, None, :])
@@ -565,9 +551,9 @@ def verify_optimality(rho, d, tol=1e-8):
         predicted = 0.0
     else:
         predicted, rest, _ = _optimal_weight(w)
-    xpp = np.column_stack(d.xpp)
-    lpp = float(np.max(np.abs(xpp.T @ SIGMA_YY @ xpp - np.diag(d.lambdas_pp))))
-    rebuilt = float(np.max(np.abs(np.subtract(d.zs, _build_zs(d.xpp, d.phases)))))
+    overlap = d.xpp @ SIGMA_YY @ d.xpp.T
+    lpp = float(np.max(np.abs(overlap - np.diag(d.lambdas_pp))))
+    rebuilt = float(np.max(np.abs(d.zs - _build_zs(d.xpp, d.phases))))
     structural = [
         ("reconstruction", inv.reconstruction),
         ("weight-identity", abs(lamw - predicted)),

@@ -55,6 +55,23 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
+def _family(vs, name):
+    """Four vectors as a complex (4, 4) copy, vector i in row i.
+
+    The shape is tested before the cast: older numpy builds a ragged
+    family as an object array of rows.
+    """
+    arr = np.asarray(vs)
+    if arr.shape != (4, 4):
+        raise ValueError("need exactly four %s vectors of four entries" % name)
+    return arr.astype(complex)
+
+
+def _outer_sum(vs):
+    """Sum of |v><v| over the rows v of vs, added in row order."""
+    return sum(np.outer(v, np.conj(v)) for v in vs)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated, immutable 4x4 density matrix.
@@ -161,28 +178,26 @@ def lambda_spectrum(rho):
 
 @dataclass(frozen=True, eq=False)
 class EigenEnsemble:
-    """Subnormalized eigenvectors v_i with sum |v_i><v_i| equal to the state."""
+    """Subnormalized eigenvectors v_i, row i of vs, summing |v_i><v_i| to the state."""
 
-    vs: tuple
+    vs: ComplexArray
 
 
 def eigen_ensemble(rho):
     """Eigen-ensemble of a state: v_i = sqrt(mu_i) times the i-th eigenvector.
 
-    Reads the eigenpair the state kept from its validation, so it solves
-    no eigenproblem.  Eigenvalues at or below the support cut of
-    matcore.support, 8 eps times the largest, produce exact zero
-    vectors, so later stages can rely on rank-deficient columns being
+    Returns the vectors as the rows of a (4, 4) array.  Reads the
+    eigenpair the state kept from its validation, so it solves no
+    eigenproblem.  Eigenvalues at or below the support cut of
+    matcore.support, 8 eps times the largest, produce exact zero rows,
+    so later stages can rely on rank-deficient vectors being
     identically zero.
     """
     w, v = rho._eig
     keep = support(w)
-    return EigenEnsemble(
-        vs=tuple(
-            np.sqrt(w[i]) * v[:, i] if keep[i] else np.zeros(4, dtype=complex)
-            for i in range(4)
-        )
-    )
+    vs = np.zeros((4, 4), dtype=complex)
+    vs[keep] = np.sqrt(w[keep])[:, None] * v[:, keep].T
+    return EigenEnsemble(vs=vs)
 
 
 def sample_random(seed, rank=4):

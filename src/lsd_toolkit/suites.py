@@ -27,6 +27,7 @@ from .lsd import _checked_tol, average_concurrence, ls_decompose, verify_optimal
 from .qstate import (
     SIGMA_YY,
     DensityMatrix,
+    _outer_sum,
     lambda_spectrum_raw,
     sample_random,
     spin_flip_matrix,
@@ -112,13 +113,10 @@ def run_wootters_suite(n=200, seed=0, tol=None):
         c_basis = max(0.0, float(w.lambdas.lambdas[0] - np.sum(w.lambdas.lambdas[1:])))
         two_routes.add(s, abs(c_spec - c_basis))
 
-        total = np.zeros((4, 4), dtype=complex)
-        for x in w.xs:
-            total = total + np.outer(x, np.conj(x))
-        recon.add(s, np.max(np.abs(total - rho.m)))
+        recon.add(s, np.max(np.abs(_outer_sum(w.xs) - rho.m)))
 
-        xmat = np.column_stack(w.xs)
-        overlap = xmat.conj().T @ SIGMA_YY @ np.conj(xmat)
+        xc = np.conj(w.xs)
+        overlap = xc @ SIGMA_YY @ xc.T
         ortho.add(s, np.max(np.abs(overlap - np.diag(w.lambdas.lambdas))))
 
         norms.add(s, abs(sum(float(np.vdot(x, x).real) for x in w.xs) - 1.0))

@@ -14,7 +14,9 @@ from .errors import NotNormalized, ResidualCheckFailed
 from .matcore import herm_eig, takagi
 from .qstate import (
     SIGMA_YY,
+    ComplexArray,
     SpectrumLambda,
+    _family,
     _read_only,
     eigen_ensemble,
     lambda_spectrum,
@@ -43,36 +45,34 @@ class TauMatrix:
 
 def tau_matrix(ens):
     """Spin-flip overlap matrix of an eigen-ensemble."""
-    v = np.column_stack(ens.vs)
-    tau = v.conj().T @ SIGMA_YY @ np.conj(v)
-    return TauMatrix(tau=tau)
+    vc = np.conj(ens.vs)
+    return TauMatrix(tau=vc @ SIGMA_YY @ vc.T)
 
 
 @dataclass(frozen=True, eq=False)
 class WoottersDecomposition:
     """Four vectors x_i with <x_i|xtilde_j> = lambda_i delta_ij.
 
-    xs sum to the state they decompose, lambdas is its lambda spectrum,
-    and u is the unitary connecting xs to the eigen-ensemble.
+    x_i is row i of the complex (4, 4) array xs, and the x_i sum to the
+    state they decompose; lambdas is its lambda spectrum, and u the
+    unitary connecting xs to the eigen-ensemble, xs = conj(u) vs.
     Construction rechecks the tilde orthogonality, the unit trace sum,
     and the unitarity of u.
     """
 
-    xs: tuple
+    xs: ComplexArray
     lambdas: SpectrumLambda
     u: np.ndarray
 
     def __post_init__(self):
-        xs = tuple(np.array(x, dtype=complex).reshape(4) for x in self.xs)
-        if len(xs) != 4:
-            raise ValueError("need exactly four vectors")
+        xs = _family(self.xs, "x")
         u = np.array(self.u, dtype=complex)
         # written "not res <= tol" so that a NaN residual fails too
         if not float(np.max(np.abs(u @ u.conj().T - np.eye(4)))) <= 1e-9:
             raise ResidualCheckFailed("u is not unitary within 1e-9")
         lam = self.lambdas.lambdas
-        x = np.column_stack(xs)
-        overlap = x.conj().T @ SIGMA_YY @ np.conj(x)
+        xc = np.conj(xs)
+        overlap = xc @ SIGMA_YY @ xc.T
         res = float(np.max(np.abs(overlap - np.diag(lam))))
         if not res <= 1e-9:
             raise ResidualCheckFailed(
@@ -85,14 +85,14 @@ class WoottersDecomposition:
         object.__setattr__(self, "u", u)
 
 
-def _canonical_sign(col):
+def _canonical_sign(x):
     """Sign making the largest-modulus component real non-negative.
 
     Phase freedom per vector is a sign only, since flipping x_i must be
     absorbed by a sign flip in row i of u.
     """
-    k = int(np.argmax(np.abs(col)))
-    c = col[k]
+    k = int(np.argmax(np.abs(x)))
+    c = x[k]
     eps = 1e-13 * abs(c)
     if c.real < -eps or (abs(c.real) <= eps and c.imag < 0.0):
         return -1.0
@@ -118,19 +118,13 @@ def wootters_basis(rho):
     tau = tau_matrix(ens)
     fac = takagi(tau.tau)
     u = fac.u.copy()
-    v = np.column_stack(ens.vs)
-    x = v @ u.conj().T
-    for i in range(4):
-        col = x[:, i]
-        if float(np.max(np.abs(col))) == 0.0:
-            continue
-        sign = _canonical_sign(col)
-        if sign < 0.0:
-            x[:, i] = -col
-            u[i, :] = -u[i, :]
-    xs = tuple(x[:, i] for i in range(4))
+    xs = np.conj(u) @ ens.vs
+    for i, x in enumerate(xs):
+        if float(np.max(np.abs(x))) != 0.0 and _canonical_sign(x) < 0.0:
+            xs[i] = -x
+            u[i] = -u[i]
     w = WoottersDecomposition(xs=xs, lambdas=SpectrumLambda(fac.lambdas), u=u)
-    _read_only(*w.xs, w.lambdas.lambdas, w.u)
+    _read_only(w.xs, w.lambdas.lambdas, w.u)
     object.__setattr__(rho, "_basis", w)
     return w
 

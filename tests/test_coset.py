@@ -262,8 +262,9 @@ class TestLocalUnitaryOrbit:
         assert np.max(np.abs(moved.m - rho.m)) < 1e-15
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(NotSpecialUnitary):
-            local_unitary_action(2.0 * np.eye(2), np.eye(2), sample_random(0))
+        for u1 in (2.0 * np.eye(2), np.full((2, 2), np.nan)):
+            with pytest.raises(NotSpecialUnitary):
+                local_unitary_action(u1, np.eye(2), sample_random(0))
 
     def test_rejects_unit_determinant_violation(self):
         with pytest.raises(NotSpecialUnitary):
@@ -291,8 +292,9 @@ class TestSo4rImage:
         assert np.max(np.abs(so4r_image(np.eye(2), np.eye(2)) - np.eye(4))) < 1e-15
 
     def test_rejects_non_special(self):
-        with pytest.raises(NotSpecialUnitary):
-            so4r_image(np.diag([1j, 1.0]), np.eye(2))
+        for u1 in (np.diag([1j, 1.0]), np.full((2, 2), np.nan)):
+            with pytest.raises(NotSpecialUnitary):
+                so4r_image(u1, np.eye(2))
 
 
 class TestHaarSu2:

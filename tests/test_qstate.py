@@ -13,7 +13,14 @@ from lsd_toolkit.coset import (
     y_from_x,
 )
 from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace, ResidualCheckFailed
-from lsd_toolkit.lsd import OptimalityReport, ls_decompose, verify_optimality
+from lsd_toolkit.lsd import (
+    H4,
+    OptimalityReport,
+    ls_decompose,
+    lsd_from_json,
+    lsd_to_json,
+    verify_optimality,
+)
 from lsd_toolkit.qstate import (
     SIGMA_YY,
     DensityMatrix,
@@ -177,8 +184,15 @@ def _nan_basis():
     return WoottersDecomposition(xs=(nan,) * 4, lambdas=lambdas, u=np.full((4, 4), np.nan))
 
 
+def _nan_split():
+    obj = lsd_to_json(ls_decompose(sample_random(2)))
+    obj["lambdas_pp"][0] = float("nan")
+    return lsd_from_json(obj)
+
+
 class TestRecordsRejectNaN:
-    """A NaN residual fails a record's check, as a residual over tol does."""
+    """A NaN residual fails a record's check, as a residual over tol does,
+    and a split with a NaN entry is rejected before any check runs."""
 
     @pytest.mark.parametrize(
         "build, error",
@@ -187,12 +201,45 @@ class TestRecordsRejectNaN:
             (_nan_basis, ResidualCheckFailed),
             (lambda: XMatrix(np.full((4, 4), np.nan)), ResidualCheckFailed),
             (lambda: YMatrix(np.full((4, 4), np.nan)), ResidualCheckFailed),
+            (_nan_split, ValueError),
         ],
-        ids=["SpectrumLambda", "WoottersDecomposition", "XMatrix", "YMatrix"],
+        ids=[
+            "SpectrumLambda", "WoottersDecomposition", "XMatrix", "YMatrix",
+            "LSDecomposition",
+        ],
     )
     def test_all_nan_input_raises(self, build, error):
         with pytest.raises(error):
             build()
+
+
+def _tilde(x):
+    """<x|xtilde>."""
+    return np.vdot(x, spin_flip_vec(x))
+
+
+class TestVectorFamilies:
+    """A family of four vectors is a complex (4, 4) array, vector i in row i."""
+
+    def test_rows_are_the_vectors(self):
+        rho = sample_random(7, rank=4)
+        mu, v = rho._eig
+        w = wootters_basis(rho)
+        d = ls_decompose(rho)
+        gen = coset_generate(_random_params(7)).wootters
+        ph = np.exp(1j * d.phases)
+        families = [
+            (eigen_ensemble(rho).vs, lambda i, x: x - np.sqrt(mu[i]) * v[:, i]),
+            (w.xs, lambda i, x: _tilde(x) - w.lambdas.lambdas[i]),
+            (d.xpp, lambda i, x: x @ SIGMA_YY @ x - d.lambdas_pp[i]),
+            (d.zs, lambda i, x: x - 0.5 * (H4[i] * ph) @ d.xpp),
+            (gen.xs, lambda i, x: _tilde(x) - gen.lambdas.lambdas[i]),
+        ]
+        for xs, residual in families:
+            assert isinstance(xs, np.ndarray)
+            assert xs.dtype == complex and xs.shape == (4, 4)
+            for i, x in enumerate(xs):
+                assert np.max(np.abs(residual(i, x))) < 1e-12
 
 
 class TestSpinFlip:
