@@ -25,12 +25,12 @@ import time
 from .coset import CosetParams, coset_generate
 from .errors import LsdToolkitError
 from .lsd import (
-    _checked_tol,
     average_concurrence,
     ls_decompose,
     split_invariants,
     verify_optimality,
 )
+from .matcore import _checked_tol
 from .qstate import DensityMatrix, from_json, lambda_spectrum, to_json
 from .suites import SUITES, _random_params
 from .wootters import _concurrence_of, _eof_of

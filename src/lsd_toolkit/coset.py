@@ -7,6 +7,7 @@ it backwards turns six angles and a target spectrum into a density matrix
 whose overlap spectrum is the target up to an overall trace factor.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -54,6 +55,9 @@ O_MAT = np.array(
 ETA = np.diag([1j, 1.0, 1j, 1.0])
 ETA_INV = np.diag([-1j, 1.0, -1j, 1.0])
 
+# the frame change back from the orthogonal picture, X = (O_MAT ETA_INV) Y
+_O_ETA_INV = O_MAT @ ETA_INV
+
 
 @dataclass(frozen=True)
 class CosetParams:
@@ -78,7 +82,7 @@ class CosetParams:
             raise ValueError("lambdas must have length 4")
         if len(th) != 2 or len(xi) != 2 or len(ph) != 2:
             raise ValueError("theta, xi, phi must each have length 2")
-        if not np.all(np.isfinite(lam + th + xi + ph)):
+        if not all(math.isfinite(x) for x in lam + th + xi + ph):
             raise ValueError("parameters must be finite, got NaN or inf")
         if any(x < 0.0 for x in lam):
             raise ValueError("lambdas must be non-negative")
@@ -100,7 +104,7 @@ class XMatrix:
 
     def __post_init__(self):
         m = np.array(self.m, dtype=complex).reshape(4, 4)
-        resid = np.max(np.abs(m.T @ SIGMA_YY @ m - np.eye(4)))
+        resid = np.abs(m.T @ SIGMA_YY @ m - np.eye(4)).max()
         # written "not resid <= tol" so that a NaN residual fails too
         if not resid <= 1e-9:
             raise ResidualCheckFailed(
@@ -117,7 +121,7 @@ class YMatrix:
 
     def __post_init__(self):
         m = np.array(self.m, dtype=complex).reshape(4, 4)
-        resid = np.max(np.abs(m.T @ m - np.eye(4)))
+        resid = np.abs(m.T @ m - np.eye(4)).max()
         if not resid <= 1e-9:
             raise ResidualCheckFailed("matrix not complex orthogonal (%.3e)" % resid)
         object.__setattr__(self, "m", m)
@@ -157,14 +161,14 @@ def y_factor(params):
     xi1, xi2 = params.xi
     ph1, ph2 = params.phi
     theta = np.zeros((4, 4), dtype=complex)
-    theta[np.ix_([0, 1], [0, 1])] = _roth(th1)
-    theta[np.ix_([2, 3], [2, 3])] = _roth(th2)
+    theta[:2, :2] = _roth(th1)
+    theta[2:, 2:] = _roth(th2)
     xi = np.zeros((4, 4), dtype=complex)
-    xi[np.ix_([0, 2], [0, 2])] = _roth(xi1)
-    xi[np.ix_([1, 3], [1, 3])] = _roth(xi2)
+    xi[0::2, 0::2] = _roth(xi1)
+    xi[1::2, 1::2] = _roth(xi2)
     phi = np.zeros((4, 4), dtype=complex)
-    phi[np.ix_([0, 1], [0, 1])] = _roth(ph1)
-    phi[np.ix_([2, 3], [2, 3])] = _roth(ph2)
+    phi[:2, :2] = _roth(ph1)
+    phi[2:, 2:] = _roth(ph2)
     return YMatrix(theta @ xi @ phi)
 
 
@@ -189,7 +193,7 @@ def coset_generate(params):
     if float(lam[0]) <= 0.0:
         raise ZeroState("all target lambdas vanish")
     y = y_factor(params)
-    xm = O_MAT @ ETA_INV @ y.m
+    xm = _O_ETA_INV @ y.m
     xs_raw = np.sqrt(lam)[:, None] * xm.T
     t = float(sum(np.vdot(x, x).real for x in xs_raw))
     rho = DensityMatrix(_outer_sum(xs_raw) / t)
@@ -209,7 +213,7 @@ def coset_generate(params):
 def _check_su2(u, name):
     u = np.array(u, dtype=complex).reshape(2, 2)
     # written "not res <= tol" so that a NaN entry fails too
-    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:
+    if not np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-10:
         raise NotSpecialUnitary("%s is not unitary" % name)
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     if not abs(det - 1.0) <= 1e-10:
@@ -217,11 +221,16 @@ def _check_su2(u, name):
     return u
 
 
+def _kron2(a, b):
+    """Kronecker product a (x) b of two 2x2 matrices, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def local_unitary_action(u1, u2, rho):
     """Conjugation of a state by a product of one-qubit special unitaries."""
     u1 = _check_su2(u1, "u1")
     u2 = _check_su2(u2, "u2")
-    big = np.kron(u1, u2)
+    big = _kron2(u1, u2)
     return DensityMatrix(big @ rho.m @ big.conj().T)
 
 
@@ -233,8 +242,8 @@ def so4r_image(u1, u2):
     """
     u1 = _check_su2(u1, "u1")
     u2 = _check_su2(u2, "u2")
-    r = ETA @ O_MAT @ np.kron(u1, u2) @ O_MAT @ ETA_INV
-    if not np.max(np.abs(r.imag)) <= 1e-8:
+    r = ETA @ O_MAT @ _kron2(u1, u2) @ O_MAT @ ETA_INV
+    if not np.abs(r.imag).max() <= 1e-8:
         raise ValueError("image has an imaginary part; inputs outside SU(2)?")
     return r.real
 

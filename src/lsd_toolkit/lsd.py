@@ -24,6 +24,7 @@ from .matcore import (
     _check_condition,
     _check_finite,
     _checked_svd,
+    _checked_tol,
     dual_basis,
     herm_eig,
     restricted_inverse,
@@ -117,7 +118,7 @@ class LSDecomposition:
         if self.pure is not None:
             arrays["pure"] = np.array(self.pure, dtype=complex).reshape(4)
         for name, arr in arrays.items():
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("%s has non-finite entries" % name)
             object.__setattr__(self, name, arr)
 
@@ -125,7 +126,9 @@ class LSDecomposition:
 def _build_zs(xpp, phases):
     """Rows z_alpha = (1/2) sum_j H4[alpha,j] e^{i theta_j} x''_j, summed in j order."""
     coef = 0.5 * H4 * np.exp(1j * np.array(phases, dtype=float))
-    return np.array([sum(c * x for c, x in zip(row, xpp)) for row in coef])
+    t = coef[:, :, None] * xpp[None, :, :]
+    # added from 0 in j order, as Python's sum does: the last bits depend on it
+    return 0 + t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
 
 
 def _optimal_weight(w):
@@ -302,14 +305,15 @@ def split_invariants(rho, d):
     if d.pure is not None:
         recon = recon + (1.0 - d.weight) * np.outer(d.pure, np.conj(d.pure))
     zsum = _outer_sum(d.zs)
-    zc = max(abs(complex(np.vdot(z, spin_flip_vec(z)))) for z in d.zs)
+    flipped = np.conj(d.zs) @ SIGMA_YY
+    zc = max(abs(complex(np.vdot(z, f))) for z, f in zip(d.zs, flipped))
     boundary = None
     if d.rank_class != "separable":
         lpp = d.lambdas_pp
         boundary = abs(float(lpp[0] - lpp[1] - lpp[2] - lpp[3]))
     return SplitInvariants(
-        reconstruction=float(np.max(np.abs(recon - rho.m))),
-        ensemble_sum=float(np.max(np.abs(zsum - d.sep.m))),
+        reconstruction=float(np.abs(recon - rho.m).max()),
+        ensemble_sum=float(np.abs(zsum - d.sep.m).max()),
         zero_concurrence=float(zc),
         boundary=boundary,
     )
@@ -413,17 +417,19 @@ def _independence_margin(zs, lams, families, anchor, coeff):
     are tested by their magnitudes, the singular values of a diagonal.
     """
     margin = math.inf
+    lams = np.array(lams)
     for groups in families:
-        fams = [[zs[a] for a in grp] for grp in groups]
-        diags = [[lams[a] for a in grp] for grp in groups]
+        idx = np.array(groups)
+        fams, diags = zs[idx], lams[idx]
         if anchor is not None:
-            fams = [f + [anchor] for f in fams]
-            diags = [c + [coeff] for c in diags]
-        _, s, _ = _checked_svd(np.array(fams).swapaxes(1, 2), *_DEPENDENT)
-        mags = np.abs(np.array(diags))
+            k = len(idx)
+            fams = np.concatenate([fams, np.broadcast_to(anchor, (k, 1, 4))], axis=1)
+            diags = np.concatenate([diags, np.full((k, 1), coeff)], axis=1)
+        _, s, _ = _checked_svd(fams.swapaxes(1, 2), *_DEPENDENT)
+        mags = np.abs(diags)
         _check_finite(mags)
         _check_condition(-np.sort(-mags), *_SINGULAR)
-        margin = min(margin, float(np.min(s[:, -1] / s[:, 0])))
+        margin = min(margin, float((s[:, -1] / s[:, 0]).min()))
     return margin
 
 
@@ -465,7 +471,7 @@ def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
         e_pred = (
             np.array([[lam_b + g, -g], [-g, lam_a + g]], dtype=complex) / gamma
         )
-        res_mat = float(np.max(np.abs(e_meas - e_pred)))
+        res_mat = float(np.abs(e_meas - e_pred).max())
         det = e_meas[0, 0].real * e_meas[1, 1].real - abs(e_meas[0, 1]) ** 2
         rep_a = (e_meas[1, 1].real - abs(e_meas[0, 1])) / det
         rep_b = (e_meas[0, 0].real - abs(e_meas[0, 1])) / det
@@ -485,18 +491,6 @@ def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
             )
         )
     return out
-
-
-def _checked_tol(tol):
-    """tol as a float; ValueError unless it is a finite number >= 0.
-
-    The one check of a caller's tolerance: verify_optimality's tol, a
-    suite's tol override and the CLI's --tol all go through it.
-    """
-    value = float(tol)
-    if not 0.0 <= value < math.inf:
-        raise ValueError("tol must be a finite number >= 0, got %r" % (tol,))
-    return value
 
 
 def verify_optimality(rho, d, tol=1e-8):
@@ -552,8 +546,8 @@ def verify_optimality(rho, d, tol=1e-8):
     else:
         predicted, rest, _ = _optimal_weight(w)
     overlap = d.xpp @ SIGMA_YY @ d.xpp.T
-    lpp = float(np.max(np.abs(overlap - np.diag(d.lambdas_pp))))
-    rebuilt = float(np.max(np.abs(d.zs - _build_zs(d.xpp, d.phases))))
+    lpp = float(np.abs(overlap - np.diag(d.lambdas_pp)).max())
+    rebuilt = float(np.abs(d.zs - _build_zs(d.xpp, d.phases)).max())
     structural = [
         ("reconstruction", inv.reconstruction),
         ("weight-identity", abs(lamw - predicted)),

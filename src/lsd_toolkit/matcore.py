@@ -17,6 +17,7 @@ eigen_ensemble, lambda_spectrum_raw, coset_generate and takagi treat an
 entry at or below 8 eps times the largest of its spectrum as zero.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,18 @@ __all__ = [
 # measured on 80 000 random rank-1 to rank-3 states and 20 000 low-rank tau
 SUPPORT_EPS = 8.0 * np.finfo(float).eps
 
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+def _checked_tol(tol):
+    """tol as a float; ValueError unless it is a finite number >= 0.
+
+    The one check of a caller's tolerance: the kernels' tol,
+    verify_optimality's tol, a suite's tol override and the CLI's --tol
+    all go through it.
+    """
+    value = float(tol)
+    if not 0.0 <= value < math.inf:
+        raise ValueError("tol must be a finite number >= 0, got %r" % (tol,))
+    return value
 
 
 def herm_eig(h, tol=1e-10):
@@ -61,8 +72,10 @@ def herm_eig(h, tol=1e-10):
 
     Raises NotHermitian when an entry is not finite, or when
     max|h - h^dag| exceeds tol relative to the larger of 1 and the
-    largest entry magnitude.
+    largest entry magnitude.  A tol that is not a finite number >= 0
+    raises ValueError.
     """
+    tol = _checked_tol(tol)
     a = np.asarray(h)
     a = a.astype(complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -94,12 +107,12 @@ def support(w):
     below the cut moves a lambda by at most about 2 sqrt(8 eps), 8.4e-8,
     of the largest.
     """
-    return w > SUPPORT_EPS * np.max(w, initial=0.0)
+    return w > SUPPORT_EPS * w.max(initial=0.0)
 
 
 def _check_finite(a):
     """Raise NotHermitian when an entry of a matrix or a stack is not finite."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NotHermitian("matrix has non-finite entries")
 
 
@@ -107,13 +120,29 @@ def psd_sqrt(p, tol=1e-10):
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in [-tol, 0) are clamped to zero before the square root;
-    anything below -tol raises NotPSD.
+    anything below -tol raises NotPSD.  herm_eig checks tol first: one
+    that is not a finite number >= 0 raises ValueError.
     """
     w, v = herm_eig(p, tol=tol)
     if w.size and w[-1] < -tol:
         raise NotPSD("eigenvalue %.3e below -%.1e" % (w[-1], tol))
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def _real_embedding(t):
+    """kron(Re t, sigma_z) + kron(Im t, sigma_x), by strided assignment.
+
+    Each quarter keeps the kron sum's arithmetic, re * sz + im * sx with
+    the zero products in place, so that its signed zeros, which LAPACK's
+    reflectors read, are the kron sum's too.
+    """
+    re, im = t.real, t.imag
+    e = np.empty((2 * t.shape[0], 2 * t.shape[1]))
+    e[0::2, 0::2] = re + im * 0.0
+    e[0::2, 1::2] = e[1::2, 0::2] = re * 0.0 + im
+    e[1::2, 1::2] = re * -1.0 + im * 0.0
+    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,19 +174,19 @@ def takagi(tau, tol=1e-10):
     tau conj(v) = 0 for every v orthogonal to the range of tau.
 
     Raises NotSymmetric when max|tau - tau.T| exceeds tol relative to the
-    larger of 1 and the largest entry magnitude.
+    larger of 1 and the largest entry magnitude, and ValueError for a tol
+    that is not a finite number >= 0.
     """
+    tol = _checked_tol(tol)
     t = np.array(tau, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("takagi expects a square matrix")
     n = t.shape[0]
-    scale = max(1.0, float(np.max(np.abs(t)))) if n else 1.0
-    res = float(np.max(np.abs(t - t.T))) if n else 0.0
+    scale = max(1.0, float(np.abs(t).max())) if n else 1.0
+    res = float(np.abs(t - t.T).max()) if n else 0.0
     if res > tol * scale:
         raise NotSymmetric("max|tau - tau.T| = %.3e exceeds %.3e" % (res, tol * scale))
-    t = (t + t.T) / 2.0
-    e = np.kron(t.real, _SIGMA_Z) + np.kron(t.imag, _SIGMA_X)
-    s, z = herm_eig(e)
+    s, z = herm_eig(_real_embedding((t + t.T) / 2.0))
     v = z[0::2, :n] + 1j * z[1::2, :n]
     keep = support(s[:n])
     lam = np.where(keep, s[:n], 0.0)

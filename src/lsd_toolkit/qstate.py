@@ -68,8 +68,10 @@ def _family(vs, name):
 
 
 def _outer_sum(vs):
-    """Sum of |v><v| over the rows v of vs, added in row order."""
-    return sum(np.outer(v, np.conj(v)) for v in vs)
+    """Sum of |v><v| over the four rows v of vs, added in row order."""
+    t = vs[:, :, None] * np.conj(vs)[:, None, :]
+    # added from 0 in row order, as Python's sum does: the last bits depend on it
+    return 0 + t[0] + t[1] + t[2] + t[3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +93,9 @@ class DensityMatrix:
         arr = np.array(self.m, dtype=complex)
         if arr.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NotHermitian("matrix has non-finite entries")
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
+        herm = float(np.abs(arr - arr.conj().T).max())
         if herm > 1e-10:
             raise NotHermitian("max|m - m^dag| = %.3e exceeds 1e-10" % herm)
         tr = complex(np.trace(arr))
@@ -137,9 +139,9 @@ class SpectrumLambda:
         arr = np.array(self.lambdas, dtype=float)
         if arr.shape != (4,):
             raise ValueError("lambda spectrum must have four entries")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("lambda spectrum must be finite")
-        if np.any(arr < -1e-12) or np.any(arr[:-1] < arr[1:] - 1e-12):
+        if (arr < -1e-12).any() or (arr[:-1] < arr[1:] - 1e-12).any():
             raise ValueError("lambda spectrum must be non-negative and descending")
         object.__setattr__(self, "lambdas", np.clip(arr, 0.0, None))
 

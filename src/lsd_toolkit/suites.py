@@ -23,7 +23,8 @@ from .coset import (
     y_factor,
     y_from_x,
 )
-from .lsd import _checked_tol, average_concurrence, ls_decompose, verify_optimality
+from .lsd import average_concurrence, ls_decompose, verify_optimality
+from .matcore import _checked_tol
 from .qstate import (
     SIGMA_YY,
     DensityMatrix,

@@ -68,12 +68,12 @@ class WoottersDecomposition:
         xs = _family(self.xs, "x")
         u = np.array(self.u, dtype=complex)
         # written "not res <= tol" so that a NaN residual fails too
-        if not float(np.max(np.abs(u @ u.conj().T - np.eye(4)))) <= 1e-9:
+        if not float(np.abs(u @ u.conj().T - np.eye(4)).max()) <= 1e-9:
             raise ResidualCheckFailed("u is not unitary within 1e-9")
         lam = self.lambdas.lambdas
         xc = np.conj(xs)
         overlap = xc @ SIGMA_YY @ xc.T
-        res = float(np.max(np.abs(overlap - np.diag(lam))))
+        res = float(np.abs(overlap - np.diag(lam)).max())
         if not res <= 1e-9:
             raise ResidualCheckFailed(
                 "tilde orthogonality residual %.3e exceeds 1e-9" % res
@@ -85,26 +85,17 @@ class WoottersDecomposition:
         object.__setattr__(self, "u", u)
 
 
-def _canonical_sign(x):
-    """Sign making the largest-modulus component real non-negative.
-
-    Phase freedom per vector is a sign only, since flipping x_i must be
-    absorbed by a sign flip in row i of u.
-    """
-    k = int(np.argmax(np.abs(x)))
-    c = x[k]
-    eps = 1e-13 * abs(c)
-    if c.real < -eps or (abs(c.real) <= eps and c.imag < 0.0):
-        return -1.0
-    return 1.0
-
-
 def wootters_basis(rho):
     """Tilde-orthogonal decomposition of a state.
 
     Builds the eigen-ensemble, Takagi-factorizes its spin-flip overlap
     matrix, and rotates the ensemble by conj(u) so that
     <x_i|xtilde_j> = lambda_i delta_ij with lambdas descending.
+
+    The phase freedom of each vector is a sign only, since flipping x_i
+    must be absorbed by a sign flip in row i of u.  Each nonzero x_i is
+    signed so that its largest-modulus component c has a positive real
+    part, or, when |Re c| <= 1e-13 |c|, a non-negative imaginary part.
 
     The result is kept on rho, with read-only arrays, and every later
     call on the same state returns it: ls_decompose and
@@ -119,10 +110,16 @@ def wootters_basis(rho):
     fac = takagi(tau.tau)
     u = fac.u.copy()
     xs = np.conj(u) @ ens.vs
-    for i, x in enumerate(xs):
-        if float(np.max(np.abs(x))) != 0.0 and _canonical_sign(x) < 0.0:
-            xs[i] = -x
-            u[i] = -u[i]
+    mods = np.abs(xs)
+    rows = np.arange(4)
+    k = mods.argmax(axis=1)
+    c, cmod = xs[rows, k], mods[rows, k]
+    eps = 1e-13 * cmod
+    flip = (cmod != 0.0) & (
+        (c.real < -eps) | ((np.abs(c.real) <= eps) & (c.imag < 0.0))
+    )
+    xs[flip] = -xs[flip]
+    u[flip] = -u[flip]
     w = WoottersDecomposition(xs=xs, lambdas=SpectrumLambda(fac.lambdas), u=u)
     _read_only(w.xs, w.lambdas.lambdas, w.u)
     object.__setattr__(rho, "_basis", w)
@@ -182,7 +179,8 @@ def pure_state_entropy(psi, base=2.0):
     """
     v = np.array(psi, dtype=complex).reshape(4)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-10:
+    # written "not res <= tol" so that a NaN norm fails too
+    if not abs(norm - 1.0) <= 1e-10:
         raise NotNormalized("|norm - 1| = %.3e exceeds 1e-10" % abs(norm - 1.0))
     a = v.reshape(2, 2)
     red = a @ a.conj().T

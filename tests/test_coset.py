@@ -39,6 +39,10 @@ PHI_M = (E[:, 0] - E[:, 3]) / np.sqrt(2.0)
 
 K2 = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
 
+# a few ulp of a unit-scale entry: the bound for a rewrite whose products
+# another numpy build may round differently (a fused complex multiply)
+FEW_ULPS = 8 * np.finfo(float).eps
+
 
 def plane_exp(t1, t2, planes):
     g = np.zeros((4, 4), dtype=complex)
@@ -103,6 +107,30 @@ class TestYFactor:
                 @ plane_exp(ph[0], ph[1], ([0, 1], [2, 3]))
             )
             assert np.max(np.abs(y - expect)) < 1e-12
+
+    def test_matches_the_ix_build(self):
+        # the blocks placed by np.ix_, the form y_factor replaced, kept as
+        # its reference: both only move values, so they agree bit for bit
+        def roth(t):
+            c, s = np.cosh(t), np.sinh(t)
+            return np.array([[c, 1j * s], [-1j * s, c]])
+
+        rng = np.random.default_rng(2)
+        for _ in range(25):
+            th, ph = rng.uniform(-2, 2, (2, 2))
+            xi = rng.uniform(0, 6, 2)
+            factors = []
+            for angles, planes in (
+                (th, ([0, 1], [2, 3])),
+                (xi, ([0, 2], [1, 3])),
+                (ph, ([0, 1], [2, 3])),
+            ):
+                f = np.zeros((4, 4), dtype=complex)
+                for t, plane in zip(angles, planes):
+                    f[np.ix_(plane, plane)] = roth(t)
+                factors.append(f)
+            y = y_factor(params(theta=th, xi=xi, phi=ph)).m
+            assert np.array_equal(y, factors[0] @ factors[1] @ factors[2])
 
     def test_orthogonality_at_large_angles(self):
         rng = np.random.default_rng(1)
@@ -256,6 +284,16 @@ class TestLocalUnitaryOrbit:
             assert np.max(np.abs(lambda_spectrum(moved).lambdas - lam)) < 1e-9
             assert abs(concurrence(moved) - concurrence(rho)) < 1e-9
 
+    def test_matches_the_kron_form(self):
+        # np.kron, the form local_unitary_action replaced, as its reference
+        rng = np.random.default_rng(6)
+        for seed in range(10):
+            rho = sample_random(seed, rank=1 + seed % 4)
+            u1, u2 = haar_su2(rng), haar_su2(rng)
+            big = np.kron(u1, u2)
+            expect = big @ rho.m @ big.conj().T
+            assert np.abs(local_unitary_action(u1, u2, rho).m - expect).max() <= FEW_ULPS
+
     def test_identity_action(self):
         rho = sample_random(3)
         moved = local_unitary_action(np.eye(2), np.eye(2), rho)
@@ -290,6 +328,14 @@ class TestSo4rImage:
 
     def test_identity(self):
         assert np.max(np.abs(so4r_image(np.eye(2), np.eye(2)) - np.eye(4))) < 1e-15
+
+    def test_matches_the_kron_form(self):
+        # np.kron, the form so4r_image replaced, as its reference
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            u1, u2 = haar_su2(rng), haar_su2(rng)
+            expect = (ETA @ O_MAT @ np.kron(u1, u2) @ O_MAT @ ETA_INV).real
+            assert np.abs(so4r_image(u1, u2) - expect).max() <= FEW_ULPS
 
     def test_rejects_non_special(self):
         for u1 in (np.diag([1j, 1.0]), np.full((2, 2), np.nan)):

@@ -86,6 +86,20 @@ class TestHadamardFrame:
         ph = np.exp(2j * np.array(DEFAULT_PHASES))
         assert np.max(np.abs(ph - [1.0, -1.0, -1.0, -1.0])) < 1e-15
 
+    def test_build_zs_matches_the_python_sum(self):
+        # the Python sum _build_zs replaced, kept as its reference; it adds
+        # the same products in the same j order, so a few ulp bound it on a
+        # numpy build that rounds a complex product differently
+        for seed in range(20):
+            d = ls_decompose(sample_random(seed, rank=1 + seed % 4))
+            for phases in (d.phases, DEFAULT_PHASES):
+                coef = 0.5 * H4 * np.exp(1j * phases)
+                expect = np.array(
+                    [sum(c * x for c, x in zip(row, d.xpp)) for row in coef]
+                )
+                bound = 8 * np.finfo(float).eps * np.abs(d.xpp).max()
+                assert np.abs(lsd._build_zs(d.xpp, phases) - expect).max() <= bound
+
 
 class TestClassification:
     def test_full_rank_entangled(self):

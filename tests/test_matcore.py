@@ -232,6 +232,56 @@ class TestTakagi:
             assert len(calls) == 1
 
 
+class TestRealEmbedding:
+    """takagi's real embedding, pinned to the kron sum it replaced."""
+
+    def test_matches_the_kron_sum(self):
+        # only multiplies by 0 and +-1, so the entries agree bit for bit,
+        # and so do the signs of their zeros, which LAPACK's reflectors read
+        sigma_z = np.array([[1.0, 0.0], [0.0, -1.0]])
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        rng = np.random.default_rng(8)
+        zeros = []
+        for n in (1, 2, 3, 4):
+            parts = rng.standard_normal((2, n, n))
+            pick = rng.random((2, n, n))
+            parts[pick < 0.4] = 0.0
+            parts[pick < 0.2] = -0.0
+            t = np.empty((n, n), dtype=complex)
+            t.real, t.imag = parts
+            e = matcore._real_embedding(t)
+            expect = np.kron(t.real, sigma_z) + np.kron(t.imag, sigma_x)
+            assert np.array_equal(e, expect)
+            assert np.array_equal(np.signbit(e), np.signbit(expect))
+            zeros.extend(np.signbit(expect[expect == 0.0]))
+        assert any(zeros) and not all(zeros)
+
+
+class TestKernelTolerance:
+    """A kernel's tol must be a finite number >= 0, like every tol."""
+
+    BAD = [np.nan, np.inf, -np.inf, -1.0]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_herm_eig(self, tol):
+        with pytest.raises(ValueError, match="tol must be"):
+            herm_eig(np.eye(2), tol=tol)
+        herm_eig(np.eye(2), tol=0.0)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_psd_sqrt(self, tol):
+        with pytest.raises(ValueError, match="tol must be"):
+            psd_sqrt(np.eye(2), tol=tol)
+        psd_sqrt(np.eye(2), tol=0.0)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_takagi(self, tol):
+        # a NaN tol once switched the symmetry test off
+        with pytest.raises(ValueError, match="tol must be"):
+            takagi(np.array([[1.0, 2.0], [2.5, 1.0]]), tol=tol)
+        takagi(np.eye(2), tol=0.0)
+
+
 class TestDualBasis:
     def test_two_vector_example(self):
         db = dual_basis([np.array([1.0, 0.0]), np.array([1.0, 1.0])])

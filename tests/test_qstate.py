@@ -32,6 +32,7 @@ from lsd_toolkit.qstate import (
     lambda_spectrum_raw,
     sample_random,
     SpectrumLambda,
+    _outer_sum,
     spin_flip,
     spin_flip_matrix,
     spin_flip_vec,
@@ -240,6 +241,16 @@ class TestVectorFamilies:
             assert xs.dtype == complex and xs.shape == (4, 4)
             for i, x in enumerate(xs):
                 assert np.max(np.abs(residual(i, x))) < 1e-12
+
+    def test_outer_sum_matches_the_python_sum(self):
+        # the Python sum _outer_sum replaced, kept as its reference; it adds
+        # the same products in the same order, so a few ulp bound it on a
+        # numpy build that rounds a complex product differently
+        for seed in range(20):
+            vs = eigen_ensemble(sample_random(seed, rank=1 + seed % 4)).vs
+            expect = sum(np.outer(v, np.conj(v)) for v in vs)
+            bound = 8 * np.finfo(float).eps * np.abs(vs).max() ** 2
+            assert np.abs(_outer_sum(vs) - expect).max() <= bound
 
 
 class TestSpinFlip:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lsd_toolkit.errors import NotNormalized, ResidualCheckFailed
+from lsd_toolkit.matcore import takagi
 from lsd_toolkit.qstate import (
     DensityMatrix,
     EigenEnsemble,
@@ -91,6 +92,45 @@ class TestWoottersBasis:
             for x in w.xs:
                 k = int(np.argmax(np.abs(x)))
                 assert x[k].real >= -1e-12 * abs(x[k])
+
+    def test_signs_match_the_per_row_rule(self):
+        # the rule wootters_basis applied row by row before it signed all
+        # four rows at once, kept as its reference: negation is exact, so
+        # the rows and u agree bit for bit
+        def sign(x):
+            k = int(np.argmax(np.abs(x)))
+            c = x[k]
+            eps = 1e-13 * abs(c)
+            if c.real < -eps or (abs(c.real) <= eps and c.imag < 0.0):
+                return -1.0
+            return 1.0
+
+        states = [sample_random(s, rank=1 + s % 4) for s in range(40)]
+        # these reach the imaginary branch: a purely imaginary top entry
+        states += [
+            bell_diagonal([0.25] * 4),
+            bell_diagonal([0.1, 0.2, 0.3, 0.4]),
+            DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1])),
+        ]
+        # pure states whose top entry has |Re c| / |c| = 1.5e-11 and 4e-14,
+        # of either sign: one each side of the 1e-13 cut
+        for g in (1e-10, -1e-10, 3e-13, -3e-13):
+            psi = np.array([0.8, 0.3, 0.3 * np.exp(1j * g), 0.5])
+            states.append(pure(psi / np.linalg.norm(psi)))
+        flips = 0
+        for rho in states:
+            ens = eigen_ensemble(rho)
+            u = takagi(tau_matrix(ens).tau).u.copy()
+            xs = np.conj(u) @ ens.vs
+            for i, x in enumerate(xs):
+                if float(np.max(np.abs(x))) != 0.0 and sign(x) < 0.0:
+                    xs[i] = -x
+                    u[i] = -u[i]
+                    flips += 1
+            w = wootters_basis(rho)
+            assert np.array_equal(w.xs, xs)
+            assert np.array_equal(w.u, u)
+        assert flips > 0
 
     def test_deterministic(self):
         rho = sample_random(17)
@@ -229,6 +269,10 @@ class TestPureStateEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             pure_state_entropy(2.0 * PHI_P)
+        # a NaN norm fails the norm test too, not a later finiteness check
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotNormalized):
+                pure_state_entropy([bad, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("base", [1.0, 0.0, -2.0, np.nan, np.inf])
     def test_rejects_bad_base(self, base):
