@@ -3,25 +3,20 @@
 Concurrence and its basis of tilde-orthogonal vectors, maximal
 separable-plus-pure splits with optimality certificates, and a
 hyperbolic-frame generator for states with prescribed overlap spectra.
+
+__all__ below is the public surface, the one list of it in the package,
+grouped by the object of the paper each name serves.  Module-level names
+that it leaves out are helpers with no compatibility promise.
 """
 
 from .coset import (
-    ETA,
-    ETA_INV,
-    O_MAT,
     CosetParams,
-    CosetResult,
-    XMatrix,
-    YMatrix,
-    build_x,
     coset_generate,
     haar_su2,
     local_unitary_action,
     params_from_json,
     params_to_json,
     so4r_image,
-    y_factor,
-    y_from_x,
 )
 from .errors import (
     DependentVectors,
@@ -41,14 +36,8 @@ from .errors import (
     ZeroState,
 )
 from .lsd import (
-    DEFAULT_PHASES,
-    H4,
     LSDecomposition,
     OptimalityReport,
-    PairCheck,
-    PptResult,
-    SplitInvariants,
-    StructuralCheck,
     average_concurrence,
     ls_decompose,
     lsd_from_json,
@@ -60,19 +49,9 @@ from .lsd import (
     split_invariants,
     verify_optimality,
 )
-from .matcore import (
-    DualBasis,
-    TakagiFactorization,
-    dual_basis,
-    herm_eig,
-    psd_sqrt,
-    restricted_inverse,
-    takagi,
-)
+from .matcore import herm_eig, takagi
 from .qstate import (
-    SIGMA_YY,
     DensityMatrix,
-    EigenEnsemble,
     SpectrumLambda,
     density_from_json,
     density_to_json,
@@ -81,11 +60,7 @@ from .qstate import (
     lambda_spectrum,
     lambda_spectrum_raw,
     sample_random,
-    spin_flip,
-    spin_flip_matrix,
-    spin_flip_vec,
     to_json,
-    validate,
 )
 from .suites import (
     PropertyResult,
@@ -95,7 +70,6 @@ from .suites import (
     run_wootters_suite,
 )
 from .wootters import (
-    TauMatrix,
     WoottersDecomposition,
     concurrence,
     entanglement_of_formation,
@@ -124,76 +98,49 @@ __all__ = [
     "ZeroState",
     "NotSpecialUnitary",
     "ResidualCheckFailed",
-    # matrix core
-    "herm_eig",
-    "psd_sqrt",
-    "TakagiFactorization",
-    "takagi",
-    "DualBasis",
-    "dual_basis",
-    "restricted_inverse",
-    # states
-    "SIGMA_YY",
+    # the state rho and its lambda spectrum
     "DensityMatrix",
-    "validate",
-    "spin_flip",
-    "spin_flip_matrix",
-    "spin_flip_vec",
+    "sample_random",
     "SpectrumLambda",
     "lambda_spectrum",
     "lambda_spectrum_raw",
-    "EigenEnsemble",
+    "herm_eig",
+    # the Wootters basis |x_i>, concurrence and entanglement of formation
     "eigen_ensemble",
-    "sample_random",
-    "to_json",
-    "from_json",
-    "density_to_json",
-    "density_from_json",
-    # tilde-orthogonal basis
-    "TauMatrix",
     "tau_matrix",
+    "takagi",
     "WoottersDecomposition",
     "wootters_basis",
     "concurrence",
     "entanglement_of_formation",
     "pure_state_entropy",
-    # splits and certificates
-    "H4",
-    "DEFAULT_PHASES",
+    # the maximal separable split and its optimality conditions
     "LSDecomposition",
     "ls_decompose",
     "average_concurrence",
     "product_ensemble",
-    "SplitInvariants",
     "split_invariants",
-    "PptResult",
     "ppt_check",
-    "PairCheck",
-    "StructuralCheck",
     "OptimalityReport",
     "verify_optimality",
-    "lsd_to_json",
-    "lsd_from_json",
-    "report_to_json",
-    "report_from_json",
-    # generators
-    "O_MAT",
-    "ETA",
-    "ETA_INV",
+    # the SO(4,c) generator and local unitaries
     "CosetParams",
-    "XMatrix",
-    "YMatrix",
-    "build_x",
-    "y_from_x",
-    "y_factor",
-    "CosetResult",
     "coset_generate",
     "local_unitary_action",
     "so4r_image",
     "haar_su2",
+    # JSON codecs
+    "to_json",
+    "from_json",
+    "density_to_json",
+    "density_from_json",
+    "lsd_to_json",
+    "lsd_from_json",
+    "report_to_json",
+    "report_from_json",
     "params_to_json",
     "params_from_json",
-    # suites
+    # property suites
     "PropertyResult",
     "run_wootters_suite",
     "run_lsd_suite",

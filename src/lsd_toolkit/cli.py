@@ -355,7 +355,10 @@ def main(argv=None):
             "validation error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr
         )
         return 3
-    except (ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
+    # RecursionError: JSON nested past the recursion limit of json or from_json
+    except (
+        ValueError, KeyError, TypeError, OverflowError, OSError, RecursionError
+    ) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -22,25 +22,6 @@ from .qstate import (
 )
 from .wootters import WoottersDecomposition, _zero_threshold
 
-__all__ = [
-    "O_MAT",
-    "ETA",
-    "ETA_INV",
-    "CosetParams",
-    "XMatrix",
-    "YMatrix",
-    "build_x",
-    "y_from_x",
-    "y_factor",
-    "CosetResult",
-    "coset_generate",
-    "local_unitary_action",
-    "so4r_image",
-    "haar_su2",
-    "params_to_json",
-    "params_from_json",
-]
-
 # real symmetric involution mixing the product basis into magic-like pairs
 O_MAT = np.array(
     [
@@ -96,53 +77,51 @@ class CosetParams:
         object.__setattr__(self, "phi", ph)
 
 
-@dataclass(frozen=True, eq=False)
-class XMatrix:
-    """Columns orthonormal under the spin-flip bilinear form, X^T S X = I."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.m, dtype=complex).reshape(4, 4)
-        resid = np.abs(m.T @ SIGMA_YY @ m - np.eye(4)).max()
-        # written "not resid <= tol" so that a NaN residual fails too
-        if not resid <= 1e-9:
-            raise ResidualCheckFailed(
-                "columns not orthonormal under the spin-flip form (%.3e)" % resid
-            )
-        object.__setattr__(self, "m", m)
+_NOT_ORTHOGONAL = "matrix not complex orthogonal (%.3e)"
 
 
-@dataclass(frozen=True, eq=False)
-class YMatrix:
-    """Complex orthogonal matrix, Y^T Y = I."""
+def _checked_frame(m, message, form=None):
+    """m as a complex 4x4 copy whose columns are orthonormal under a form.
 
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.m, dtype=complex).reshape(4, 4)
-        resid = np.abs(m.T @ m - np.eye(4)).max()
-        if not resid <= 1e-9:
-            raise ResidualCheckFailed("matrix not complex orthogonal (%.3e)" % resid)
-        object.__setattr__(self, "m", m)
+    The test is max|m^T m - I| <= 1e-9, or max|m^T form m - I| <= 1e-9
+    when a form is given; a larger residual raises ResidualCheckFailed
+    with message % residual.
+    """
+    m = np.array(m, dtype=complex).reshape(4, 4)
+    mt = m.T if form is None else m.T @ form
+    resid = np.abs(mt @ m - np.eye(4)).max()
+    # written "not resid <= tol" so that a NaN residual fails too
+    if not resid <= 1e-9:
+        raise ResidualCheckFailed(message % resid)
+    return m
 
 
 def build_x(w):
-    """Normalized column frame x_i / sqrt(lambda_i) of a basis decomposition.
+    """Normalized column frame X, columns x_i / sqrt(lambda_i), of a basis.
 
+    Returns a complex 4x4 array with X^T S X = I, S the spin flip.
     Raises RankDeficient when any lambda_i vanishes, since the frame then
-    has no normalizable column.
+    has no normalizable column, and ResidualCheckFailed when the columns
+    miss that identity by more than 1e-9.
     """
     lam = w.lambdas.lambdas
     cut = _zero_threshold(lam)
     if any(float(x) <= cut for x in lam):
         raise RankDeficient("overlap spectrum has a vanishing entry")
-    return XMatrix((w.xs / np.sqrt(lam)[:, None]).T)
+    return _checked_frame(
+        (w.xs / np.sqrt(lam)[:, None]).T,
+        "columns not orthonormal under the spin-flip form (%.3e)",
+        SIGMA_YY,
+    )
 
 
 def y_from_x(x):
-    """Frame change X -> Y = ETA @ O_MAT @ X into the orthogonal picture."""
-    return YMatrix(ETA @ O_MAT @ x.m)
+    """Frame change X -> Y = ETA @ O_MAT @ X into the orthogonal picture.
+
+    Returns a complex 4x4 array; ResidualCheckFailed when Y^T Y misses the
+    identity by more than 1e-9.
+    """
+    return _checked_frame(ETA @ O_MAT @ x, _NOT_ORTHOGONAL)
 
 
 def _roth(t):
@@ -155,7 +134,9 @@ def y_factor(params):
 
     Theta and Phi act in the (0,1) and (2,3) planes, Xi in the (0,2) and
     (1,3) planes; each plane carries a hyperbolic rotation
-    [[cosh t, i sinh t], [-i sinh t, cosh t]].
+    [[cosh t, i sinh t], [-i sinh t, cosh t]].  Returns a complex 4x4
+    array; ResidualCheckFailed when Y^T Y misses the identity by more
+    than 1e-9, as it does on rounding at strong squeezing.
     """
     th1, th2 = params.theta
     xi1, xi2 = params.xi
@@ -169,7 +150,7 @@ def y_factor(params):
     phi = np.zeros((4, 4), dtype=complex)
     phi[:2, :2] = _roth(ph1)
     phi[2:, 2:] = _roth(ph2)
-    return YMatrix(theta @ xi @ phi)
+    return _checked_frame(theta @ xi @ phi, _NOT_ORTHOGONAL)
 
 
 CosetResult = namedtuple("CosetResult", ["rho", "wootters", "trace_factor"])
@@ -193,7 +174,7 @@ def coset_generate(params):
     if float(lam[0]) <= 0.0:
         raise ZeroState("all target lambdas vanish")
     y = y_factor(params)
-    xm = _O_ETA_INV @ y.m
+    xm = _O_ETA_INV @ y
     xs_raw = np.sqrt(lam)[:, None] * xm.T
     t = float(sum(np.vdot(x, x).real for x in xs_raw))
     rho = DensityMatrix(_outer_sum(xs_raw) / t)

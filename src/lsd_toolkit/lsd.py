@@ -25,9 +25,9 @@ from .matcore import (
     _check_finite,
     _checked_svd,
     _checked_tol,
-    dual_basis,
+    _dual_basis,
+    _restricted_inverse,
     herm_eig,
-    restricted_inverse,
 )
 from .qstate import (
     SIGMA_YY,
@@ -41,25 +41,6 @@ from .qstate import (
     to_json,
 )
 from .wootters import _concurrence_of, _zero_threshold, wootters_basis
-
-__all__ = [
-    "LSDecomposition",
-    "ls_decompose",
-    "average_concurrence",
-    "product_ensemble",
-    "SplitInvariants",
-    "split_invariants",
-    "PptResult",
-    "ppt_check",
-    "PairCheck",
-    "StructuralCheck",
-    "OptimalityReport",
-    "verify_optimality",
-    "lsd_to_json",
-    "lsd_from_json",
-    "report_to_json",
-    "report_from_json",
-]
 
 # Hadamard-pattern mixing matrix for the product ensemble; its columns are
 # orthogonal with H4.T @ H4 = 4 * I
@@ -446,15 +427,14 @@ def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
     za, zb = zs[ia], zs[ib]
     la = np.array(lams)[ia, None, None]
     lb = np.array(lams)[ib, None, None]
-    basis = dual_basis(np.stack([za, zb], axis=2))
+    phihat = _dual_basis(np.stack([za, zb], axis=2))
     mmat = (
         la * (za[:, :, None] * np.conj(za)[:, None, :])
         + lb * (zb[:, :, None] * np.conj(zb)[:, None, :])
         + coeff * np.outer(x1, np.conj(x1))
     )
-    phihat = basis.dual
     a_num = phihat.conj().swapaxes(1, 2) @ mmat @ phihat
-    minv = restricted_inverse(a_num, basis)
+    minv = _restricted_inverse(a_num, phihat)
     e_all = np.stack(
         [
             _sandwiches(minv, za, za),
@@ -519,8 +499,9 @@ def verify_optimality(rho, d, tol=1e-8):
     below 1e-12 raises SingularCoefficients.  The condition has content
     only for dependent vectors, the pairs tied by z_a + z_b = x''_1 of
     the rank3 and rank2 classes; those get the closed form of Karnas &
-    Lewenstein, J. Phys. A 34, 6919 (2001), as PairCheck records, one
-    batched dual_basis and restricted_inverse for all of them.
+    Lewenstein, J. Phys. A 34, 6919 (2001), as PairCheck records: one
+    stack of all the pairs goes through matcore's dual-basis and
+    restricted-inverse helpers, one batched SVD each.
 
     The verdict is True when every structural check and every closed-form
     pair lands within tol (the partial-transpose check has its own

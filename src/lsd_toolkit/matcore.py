@@ -1,15 +1,15 @@
 """Checked linear algebra for small complex matrices.
 
 A Hermitian eigendecomposition (np.linalg.eigh behind finiteness and
-hermiticity checks), positive semidefinite square roots, Takagi
-factorization of complex symmetric matrices, and dual-basis /
-restricted-inverse helpers.  Everything is sized for the 2x2 and 4x4
+hermiticity checks), Takagi factorization of complex symmetric
+matrices, and the dual-basis and restricted-inverse helpers of the
+optimality certificate.  Everything is sized for the 2x2 and 4x4
 matrices used elsewhere in the package.  Every eigenpair in the package
 comes from herm_eig, and takagi takes one of them, of a real embedding
-of tau.  The dual basis and the restricted inverse work on stacks of
-families, each from one batched SVD of the stack itself, which also
-gives the conditioning it is tested on.  No Gram matrix or other square
-of an input is formed, so no condition number is squared.
+of tau.  The dual-basis helpers take stacks of families only, (K, n, k),
+and run one batched SVD of the stack itself, which also gives the
+conditioning it is tested on.  No Gram matrix or other square of an
+input is formed, so no condition number is squared.
 
 The trailing lambdas of a low-rank state come out as exact zeros not
 because of the solver but because of one support cut, support(w):
@@ -18,29 +18,15 @@ entry at or below 8 eps times the largest of its spectrum as zero.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DependentVectors,
     NotHermitian,
-    NotPSD,
     NotSymmetric,
     SingularCoefficients,
 )
-
-__all__ = [
-    "SUPPORT_EPS",
-    "herm_eig",
-    "support",
-    "psd_sqrt",
-    "TakagiFactorization",
-    "takagi",
-    "DualBasis",
-    "dual_basis",
-    "restricted_inverse",
-]
 
 # support cut of every spectrum, relative to its largest entry: at least
 # twice the largest zero eigenvalue that rounding leaves, 3.1 eps,
@@ -116,20 +102,6 @@ def _check_finite(a):
         raise NotHermitian("matrix has non-finite entries")
 
 
-def psd_sqrt(p, tol=1e-10):
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-tol, 0) are clamped to zero before the square root;
-    anything below -tol raises NotPSD.  herm_eig checks tol first: one
-    that is not a finite number >= 0 raises ValueError.
-    """
-    w, v = herm_eig(p, tol=tol)
-    if w.size and w[-1] < -tol:
-        raise NotPSD("eigenvalue %.3e below -%.1e" % (w[-1], tol))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def _real_embedding(t):
     """kron(Re t, sigma_z) + kron(Im t, sigma_x), by strided assignment.
 
@@ -145,19 +117,12 @@ def _real_embedding(t):
     return e
 
 
-@dataclass(frozen=True, eq=False)
-class TakagiFactorization:
-    """Unitary u and non-negative lambdas with u @ tau @ u.T = diag(lambdas)."""
-
-    u: np.ndarray
-    lambdas: np.ndarray
-
-
 def takagi(tau, tol=1e-10):
     """Takagi factorization of a complex symmetric matrix.
 
-    Finds a unitary u and descending non-negative lambdas such that
-    u @ tau @ u.T = diag(lambdas), from one herm_eig call on the real
+    Returns the tuple (u, lambdas), as herm_eig returns (w, v): a unitary
+    u and descending non-negative lambdas with u @ tau @ u.T =
+    diag(lambdas).  Both come from one herm_eig call on the real
     interleaved embedding E = kron(Re tau, sigma_z) + kron(Im tau,
     sigma_x) (Horn & Johnson, Matrix Analysis, 2nd ed., Cor. 4.4.4).
     E [x; y] = s [x; y] is tau conj(x + iy) = s (x + iy), and i(x + iy)
@@ -194,20 +159,7 @@ def takagi(tau, tol=1e-10):
     if r < n:
         q, _ = np.linalg.qr(np.hstack([v[:, :r], np.eye(n)]))
         v[:, r:] = q[:, r:n]
-    return TakagiFactorization(u=v.conj().T, lambdas=lam)
-
-
-@dataclass(frozen=True, eq=False)
-class DualBasis:
-    """Primal vectors and duals with <dual_i|primal_j> = delta_ij.
-
-    For one family, primal and dual are tuples of its k vectors; for a
-    stack of K families, arrays of shape (K, n, k) with the vectors as
-    columns.
-    """
-
-    primal: tuple
-    dual: tuple
+    return v.conj().T, lam
 
 
 # the condition tests: (error, message, power) for families, whose
@@ -245,55 +197,38 @@ def _checked_svd(x, error, message, power):
     return u, s, vh
 
 
-def dual_basis(vectors):
-    """Dual frame of a linearly independent family of vectors, or of a stack.
+def _dual_basis(phi):
+    """Dual frames of a stack of linearly independent families.
 
-    vectors is a sequence of k vectors, or an array of shape (K, n, k)
-    holding K families as columns.  The duals reproduce coefficients on
-    the span: for any v in the span, v = sum_i <dual_i|v> primal_i.  A
-    stack takes one batched thin SVD, phi = U S V^dag, and the duals are
-    U S^-1 V^dag; a sequence is a stack of one.  No Gram matrix is
-    formed.  Raises DependentVectors, for the first such family, when
-    (s_min / s_max)**2, the reciprocal condition number of the Gram
-    matrix phi^dag phi, drops below 1e-12.
+    phi has shape (K, n, k), each slice holding one family of k vectors
+    as columns, and the result has the same shape: its slice i holds the
+    duals of family i, with <dual_a|phi_b> = delta_ab, so any v in the
+    span is sum_a <dual_a|v> phi_a.  One batched thin SVD, phi = U S V^dag,
+    gives the duals U S^-1 V^dag; no Gram matrix is formed.  Raises
+    DependentVectors, for the first such family, when (s_min / s_max)**2,
+    the reciprocal condition number of the Gram matrix phi^dag phi, drops
+    below 1e-12.
     """
-    stacked = isinstance(vectors, np.ndarray) and vectors.ndim == 3
-    if stacked:
-        phi = np.array(vectors, dtype=complex, order="C")
-    else:
-        vecs = [np.array(v, dtype=complex).reshape(-1) for v in vectors]
-        if not vecs:
-            raise ValueError("dual_basis expects at least one vector")
-        phi = np.column_stack(vecs)[None]
+    phi = np.array(phi, dtype=complex, order="C")
     u, s, vh = _checked_svd(phi, *_DEPENDENT)
-    phihat = (u / s[:, None, :]) @ vh
-    if stacked:
-        return DualBasis(primal=phi, dual=phihat)
-    return DualBasis(
-        primal=tuple(vecs),
-        dual=tuple(phihat[0, :, k] for k in range(phihat.shape[2])),
-    )
+    return (u / s[:, None, :]) @ vh
 
 
-def restricted_inverse(coeffs, basis):
-    """Inverse on a span of M = sum_ij coeffs[i,j] |primal_i><primal_j|.
+def _restricted_inverse(coeffs, dual):
+    """Inverses on their spans of M_i = sum_ab coeffs[i,a,b] |phi_a><phi_b|.
 
-    Returns the matrix sum_ij inv(coeffs)[i,j] |dual_i><dual_j|, which
-    satisfies M @ result = identity on span(primal).  For a stacked basis,
-    coeffs has shape (K, k, k) and the result (K, n, n).  Each block's
-    inverse is V S^-1 U^dag from one batched SVD, coeffs = U S V^dag.
-    Raises SingularCoefficients, for the first such block, when its
-    reciprocal condition number s_min / s_max drops below 1e-12.
+    dual is the stack (K, n, k) that _dual_basis returns for the families
+    phi, and coeffs the blocks (K, k, k).  Returns the stack (K, n, n) of
+    sum_ab inv(coeffs[i])[a,b] |dual_a><dual_b|, which satisfies
+    M_i @ result[i] = identity on span(phi_i).  Each block's inverse is
+    V S^-1 U^dag from one batched SVD, coeffs = U S V^dag.  Raises
+    SingularCoefficients, for the first such block, when its reciprocal
+    condition number s_min / s_max drops below 1e-12.
     """
     a = np.array(coeffs, dtype=complex)
-    stacked = isinstance(basis.dual, np.ndarray)
-    phihat = basis.dual if stacked else np.column_stack(basis.dual)[None]
-    k = phihat.shape[2]
-    if a.shape != ((phihat.shape[0], k, k) if stacked else (k, k)):
+    k = dual.shape[2]
+    if a.shape != (dual.shape[0], k, k):
         raise ValueError("coefficient matrix shape does not match the basis")
-    if not stacked:
-        a = a[None]
     u, s, vh = _checked_svd(a, *_SINGULAR)
     ainv = (vh.conj().swapaxes(1, 2) / s[:, None, :]) @ u.conj().swapaxes(1, 2)
-    minv = phihat @ ainv @ phihat.conj().swapaxes(1, 2)
-    return minv if stacked else minv[0]
+    return dual @ ainv @ dual.conj().swapaxes(1, 2)

@@ -15,25 +15,6 @@ import numpy as np
 from .errors import NotHermitian, NotPSD, NotUnitTrace
 from .matcore import herm_eig, support
 
-__all__ = [
-    "SIGMA_YY",
-    "DensityMatrix",
-    "validate",
-    "spin_flip",
-    "spin_flip_matrix",
-    "spin_flip_vec",
-    "SpectrumLambda",
-    "lambda_spectrum",
-    "lambda_spectrum_raw",
-    "EigenEnsemble",
-    "eigen_ensemble",
-    "sample_random",
-    "to_json",
-    "from_json",
-    "density_to_json",
-    "density_from_json",
-]
-
 # field annotations naming an array's entry type, which from_json reads,
 # and the JSON types from_json accepts for each scalar field type
 ComplexArray = Annotated[np.ndarray, complex]
@@ -107,11 +88,6 @@ class DensityMatrix:
         _read_only(arr, w, v)
         object.__setattr__(self, "m", arr)
         object.__setattr__(self, "_eig", (w, v))
-
-
-def validate(m):
-    """Validate a raw 4x4 array as a density matrix."""
-    return DensityMatrix(m)
 
 
 def spin_flip_matrix(m):

@@ -22,16 +22,6 @@ from .qstate import (
     lambda_spectrum,
 )
 
-__all__ = [
-    "TauMatrix",
-    "tau_matrix",
-    "WoottersDecomposition",
-    "wootters_basis",
-    "concurrence",
-    "entanglement_of_formation",
-    "pure_state_entropy",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class TauMatrix:
@@ -107,8 +97,7 @@ def wootters_basis(rho):
         return cached
     ens = eigen_ensemble(rho)
     tau = tau_matrix(ens)
-    fac = takagi(tau.tau)
-    u = fac.u.copy()
+    u, lam = takagi(tau.tau)
     xs = np.conj(u) @ ens.vs
     mods = np.abs(xs)
     rows = np.arange(4)
@@ -120,7 +109,7 @@ def wootters_basis(rho):
     )
     xs[flip] = -xs[flip]
     u[flip] = -u[flip]
-    w = WoottersDecomposition(xs=xs, lambdas=SpectrumLambda(fac.lambdas), u=u)
+    w = WoottersDecomposition(xs=xs, lambdas=SpectrumLambda(lam), u=u)
     _read_only(w.xs, w.lambdas.lambdas, w.u)
     object.__setattr__(rho, "_basis", w)
     return w

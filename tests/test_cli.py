@@ -278,7 +278,7 @@ class TestGenerate:
         assert 4 not in analyzed
 
     def test_failed_residual_check_exits_three(self, capsys):
-        # the absolute 1e-9 orthogonality check of YMatrix fails on rounding
+        # the absolute 1e-9 orthogonality check of y_factor fails on rounding
         # alone at these angles; a failed check is not bad input
         angles = ["--theta", "2,2", "--xi", "6,6", "--phi", "2,2"]
         argv = ["generate", "--lambdas", "0.4,0.3,0.2,0.1", *angles]
@@ -358,6 +358,14 @@ class TestErrorPaths:
         bad.write_text(json.dumps(obj))
         assert main(["analyze", "--input", str(bad), "--output", "/dev/null"]) == 2
         assert "[re, im]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["analyze", "--input"], ["generate", "--params"]])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, argv):
+        # nested past the parser's recursion limit, json raises RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main([*argv, str(deep), "--output", "/dev/null"]) == 2
+        assert capsys.readouterr().err.startswith("input error: maximum recursion depth")
 
     def test_entry_beyond_float_range_exits_two(self, tmp_path):
         obj = density_to_json(sample_random(1))
@@ -481,6 +489,7 @@ class TestConsoleScript:
             ["lsd-toolkit", "analyze", "--input", werner_file],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/local/bin:/usr/bin:/bin", "LSD_TOOLKIT_LOG": "debug"},
+            # the caller's PATH finds the script wherever it was installed
+            env={**os.environ, "LSD_TOOLKIT_LOG": "debug"},
         )
         assert proc.returncode == 0

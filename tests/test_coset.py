@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from lsd_toolkit.coset import (
     params_from_json,
     params_to_json,
     so4r_image,
-    XMatrix,
     y_factor,
     y_from_x,
-    YMatrix,
 )
 from lsd_toolkit.errors import (
     LsdToolkitError,
@@ -55,6 +54,16 @@ def params(lambdas=(0.4, 0.3, 0.2, 0.1), theta=(0.0, 0.0), xi=(0.0, 0.0), phi=(0
     return CosetParams(lambdas=lambdas, theta=theta, xi=xi, phi=phi)
 
 
+def unit_basis(xs):
+    """Stand-in for a basis with unit lambdas, whose build_x frame is xs.T."""
+    return SimpleNamespace(xs=np.asarray(xs), lambdas=SimpleNamespace(lambdas=np.ones(4)))
+
+
+def x_of_y(y):
+    """The X frame that y_from_x maps to y, up to rounding."""
+    return O_MAT @ ETA_INV @ y
+
+
 class TestFrameConstants:
     def test_flip_form_factorization(self):
         assert np.max(np.abs(O_MAT.T @ ETA @ ETA @ O_MAT - SIGMA_YY)) < 1e-15
@@ -73,12 +82,12 @@ class TestFrameConstants:
 
 class TestYFactor:
     def test_identity_at_zero(self):
-        y = y_factor(params()).m
+        y = y_factor(params())
         assert np.max(np.abs(y - np.eye(4))) == 0.0
 
     def test_single_plane_closed_form(self):
         t = 0.8
-        y = y_factor(params(theta=(t, 0.0))).m
+        y = y_factor(params(theta=(t, 0.0)))
         expect = np.eye(4, dtype=complex)
         expect[0, 0] = expect[1, 1] = np.cosh(t)
         expect[0, 1] = 1j * np.sinh(t)
@@ -87,7 +96,7 @@ class TestYFactor:
 
     def test_equal_squeeze_block_structure(self):
         s = 1.1
-        y = y_factor(params(xi=(s, s))).m
+        y = y_factor(params(xi=(s, s)))
         expect = np.cosh(s) * np.eye(4, dtype=complex)
         for a, b in ((0, 2), (1, 3)):
             expect[a, b] = 1j * np.sinh(s)
@@ -100,7 +109,7 @@ class TestYFactor:
             th = rng.uniform(-2, 2, 2)
             xi = rng.uniform(0, 2, 2)
             ph = rng.uniform(-2, 2, 2)
-            y = y_factor(params(theta=th, xi=xi, phi=ph)).m
+            y = y_factor(params(theta=th, xi=xi, phi=ph))
             expect = (
                 plane_exp(th[0], th[1], ([0, 1], [2, 3]))
                 @ plane_exp(xi[0], xi[1], ([0, 2], [1, 3]))
@@ -129,7 +138,7 @@ class TestYFactor:
                 for t, plane in zip(angles, planes):
                     f[np.ix_(plane, plane)] = roth(t)
                 factors.append(f)
-            y = y_factor(params(theta=th, xi=xi, phi=ph)).m
+            y = y_factor(params(theta=th, xi=xi, phi=ph))
             assert np.array_equal(y, factors[0] @ factors[1] @ factors[2])
 
     def test_orthogonality_at_large_angles(self):
@@ -141,7 +150,7 @@ class TestYFactor:
                     xi=rng.uniform(0, 2, 2),
                     phi=rng.uniform(-2, 2, 2),
                 )
-            ).m
+            )
             assert np.max(np.abs(y.T @ y - np.eye(4))) < 1e-10
 
 
@@ -150,7 +159,7 @@ class TestFrames:
         for seed in (0, 1, 2, 5):
             w = wootters_basis(sample_random(seed, rank=4))
             x = build_x(w)
-            assert np.max(np.abs(x.m.T @ SIGMA_YY @ x.m - np.eye(4))) < 1e-9
+            assert np.max(np.abs(x.T @ SIGMA_YY @ x - np.eye(4))) < 1e-9
 
     def test_build_x_rank_deficient(self):
         with pytest.raises(RankDeficient):
@@ -160,22 +169,22 @@ class TestFrames:
         for seed in (0, 1, 2):
             x = build_x(wootters_basis(sample_random(seed, rank=4)))
             y = y_from_x(x)
-            assert np.max(np.abs(O_MAT @ ETA_INV @ y.m - x.m)) < 1e-12
+            assert np.max(np.abs(O_MAT @ ETA_INV @ y - x)) < 1e-12
 
     def test_xmatrix_rejects(self):
         with pytest.raises(ValueError):
-            XMatrix(np.eye(4) * 2.0)
+            build_x(unit_basis(np.eye(4) * 2.0))
 
     def test_ymatrix_rejects(self):
         with pytest.raises(ValueError):
-            YMatrix(np.diag([2.0, 1.0, 1.0, 1.0]))
+            y_from_x(x_of_y(np.diag([2.0, 1.0, 1.0, 1.0])))
 
     def test_residual_errors_are_typed(self):
         assert issubclass(ResidualCheckFailed, LsdToolkitError)
-        with pytest.raises(ResidualCheckFailed):
-            XMatrix(np.eye(4) * 2.0)
-        with pytest.raises(ResidualCheckFailed):
-            YMatrix(np.diag([2.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ResidualCheckFailed, match="not orthonormal under the spin-flip"):
+            build_x(unit_basis(np.eye(4) * 2.0))
+        with pytest.raises(ResidualCheckFailed, match="not complex orthogonal"):
+            y_from_x(x_of_y(np.diag([2.0, 1.0, 1.0, 1.0])))
 
 
 class TestCosetGenerate:

@@ -461,14 +461,15 @@ def _ref_sandwich(minv, u, v):
 def _ref_dependent_pair(a, b, za, zb, x1, coeff, g):
     lam_a = float(np.vdot(za, za).real)
     lam_b = float(np.vdot(zb, zb).real)
-    basis = matcore.dual_basis([za, zb])
+    # each kernel on a stack of one family
+    phihat = matcore._dual_basis(np.column_stack([za, zb])[None])[0]
     mmat = (
         lam_a * np.outer(za, np.conj(za))
         + lam_b * np.outer(zb, np.conj(zb))
         + coeff * np.outer(x1, np.conj(x1))
     )
-    phihat = np.column_stack(basis.dual)
-    minv = matcore.restricted_inverse(phihat.conj().T @ mmat @ phihat, basis)
+    a_num = phihat.conj().T @ mmat @ phihat
+    minv = matcore._restricted_inverse(a_num[None], phihat[None])[0]
     e_meas = np.array(
         [
             [_ref_sandwich(minv, za, za), _ref_sandwich(minv, za, zb)],
@@ -498,7 +499,8 @@ def _ref_dependent_pair(a, b, za, zb, x1, coeff, g):
 
 def _ref_families(rho, d):
     """The certificate's families in the order it checks them, and its
-    closed-form pairs, one scalar dual_basis and restricted_inverse each."""
+    closed-form pairs, each through the dual-basis and restricted-inverse
+    kernels on a stack of one."""
     w = wootters_basis(rho)
     x1 = w.xs[0]
     zs = d.zs

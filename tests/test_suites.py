@@ -17,7 +17,6 @@ WOOTTERS_PROPS = {
     "tilde-orthogonality",
     "norm-sum",
     "spectrum-scaling",
-    "spin-flip-involution",
 }
 LSD_PROPS = {
     "split-reconstruction",

@@ -120,7 +120,7 @@ class TestWoottersBasis:
         flips = 0
         for rho in states:
             ens = eigen_ensemble(rho)
-            u = takagi(tau_matrix(ens).tau).u.copy()
+            u, _ = takagi(tau_matrix(ens).tau)
             xs = np.conj(u) @ ens.vs
             for i, x in enumerate(xs):
                 if float(np.max(np.abs(x))) != 0.0 and sign(x) < 0.0:
