@@ -26,7 +26,7 @@ def main():
     print("%6s  %28s  %10s  %10s" % ("p", "overlap spectrum", "C", "EoF"))
     for p in (0.0, 0.25, 1.0 / 3.0, 0.5, 0.8, 1.0):
         rho = werner(p)
-        lam = lambda_spectrum(rho).lambdas
+        lam = lambda_spectrum(rho)
         print(
             "%6.3f  [%6.4f %6.4f %6.4f %6.4f]  %10.6f  %10.6f"
             % (

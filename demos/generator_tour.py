@@ -23,7 +23,7 @@ def main():
     res = coset_generate(p)
     print("zero angles, target (0.4, 0.3, 0.2, 0.1)")
     print("  trace factor   %.12f" % res.trace_factor)
-    print("  spectrum       %s" % np.round(res.wootters.lambdas.lambdas, 12))
+    print("  spectrum       %s" % np.round(res.wootters.lambdas, 12))
     print("  concurrence    %.6f" % concurrence(res.rho))
     print()
 
@@ -36,7 +36,7 @@ def main():
         phi=(0.3, 1.9),
     )
     res = coset_generate(p)
-    lam = res.wootters.lambdas.lambdas
+    lam = res.wootters.lambdas
     print("strongly squeezed frame (xi = 2.0, 1.7)")
     print("  trace factor   %.3f" % res.trace_factor)
     print("  spectrum       %s" % np.round(lam, 8))
@@ -50,12 +50,12 @@ def main():
     # random one-qubit rotations moves the state but not the spectrum
     rng = np.random.default_rng(0)
     rho = res.rho
-    base = lambda_spectrum(rho).lambdas
+    base = lambda_spectrum(rho)
     drift = 0.0
     for _ in range(25):
         u1, u2 = haar_su2(rng), haar_su2(rng)
         moved = local_unitary_action(u1, u2, rho)
-        drift = max(drift, float(np.max(np.abs(lambda_spectrum(moved).lambdas - base))))
+        drift = max(drift, float(np.max(np.abs(lambda_spectrum(moved) - base))))
     print("spectrum drift over 25 random local rotations: %.2e" % drift)
 
     u1, u2 = haar_su2(rng), haar_su2(rng)

@@ -26,7 +26,7 @@ def show(rho, label):
     print("  state concurrence   %.8f" % concurrence(rho))
     if d.pure is not None:
         print("  pure-part average   %.8f" % average_concurrence(d))
-        lam = lambda_spectrum(d.sep).lambdas
+        lam = lambda_spectrum(d.sep)
         print(
             "  separable part sits on the zero-concurrence boundary:"
             " %.4f - %.4f - %.4f - %.4f = %.1e"

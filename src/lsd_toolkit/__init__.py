@@ -52,7 +52,6 @@ from .lsd import (
 from .matcore import herm_eig, takagi
 from .qstate import (
     DensityMatrix,
-    SpectrumLambda,
     density_from_json,
     density_to_json,
     eigen_ensemble,
@@ -101,7 +100,6 @@ __all__ = [
     # the state rho and its lambda spectrum
     "DensityMatrix",
     "sample_random",
-    "SpectrumLambda",
     "lambda_spectrum",
     "lambda_spectrum_raw",
     "herm_eig",

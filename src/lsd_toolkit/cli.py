@@ -122,7 +122,7 @@ def cmd_analyze(args):
     rho = from_json(DensityMatrix, obj)
     t0 = time.perf_counter()
     spec = lambda_spectrum(rho)
-    c = _concurrence_of(spec.lambdas)
+    c = _concurrence_of(spec)
     eof = _eof_of(c)
     t1 = time.perf_counter()
     d = ls_decompose(rho)
@@ -130,7 +130,7 @@ def cmd_analyze(args):
     avg = None if d.pure is None else average_concurrence(d)
     payload = {
         "input": {"path": label, "sha256": digest},
-        "spectrum": to_json(spec.lambdas),
+        "spectrum": to_json(spec),
         "concurrence": c,
         "entanglement_of_formation": eof,
         "lsd": {
@@ -189,7 +189,7 @@ def cmd_generate(args):
     t1 = time.perf_counter()
     payload = {
         "state": to_json(res.rho),
-        "achieved_spectrum": to_json(res.wootters.lambdas.lambdas),
+        "achieved_spectrum": to_json(res.wootters.lambdas),
         "trace_factor": float(res.trace_factor),
         "params": to_json(p),
         "timings": {"generate": t1 - t0},

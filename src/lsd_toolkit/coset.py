@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
 from .matcore import support
-from .qstate import (
-    SIGMA_YY, DensityMatrix, SpectrumLambda, _outer_sum, from_json, to_json
-)
+from .qstate import SIGMA_YY, DensityMatrix, _outer_sum, from_json, to_json
 from .wootters import WoottersDecomposition, _zero_threshold
 
 # real symmetric involution mixing the product basis into magic-like pairs
@@ -104,7 +102,7 @@ def build_x(w):
     has no normalizable column, and ResidualCheckFailed when the columns
     miss that identity by more than 1e-9.
     """
-    lam = w.lambdas.lambdas
+    lam = w.lambdas
     cut = _zero_threshold(lam)
     if any(float(x) <= cut for x in lam):
         raise RankDeficient("overlap spectrum has a vanishing entry")
@@ -185,9 +183,7 @@ def coset_generate(params):
     rows[sup] = (v[:, sup].conj().T @ xs.T) / np.sqrt(mu[sup, None])
     a, _, bh = np.linalg.svd(rows)
     u = (a @ bh).conj().T
-    w = WoottersDecomposition(
-        xs=xs, lambdas=SpectrumLambda(lam / t), u=u
-    )
+    w = WoottersDecomposition(xs=xs, lambdas=lam / t, u=u)
     return CosetResult(rho=rho, wootters=w, trace_factor=t)
 
 

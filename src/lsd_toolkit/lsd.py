@@ -118,7 +118,7 @@ def _optimal_weight(w):
     Returns 1 - (C / lambda_1) <x_1|x_1>, the spectrum with entries at or
     below the zero threshold set to 0, and the sum of its last three.
     """
-    lam = w.lambdas.lambdas
+    lam = w.lambdas
     c = float(lam[0] - lam[1] - lam[2] - lam[3])
     x1 = w.xs[0]
     weight = 1.0 - (c / float(lam[0])) * float(np.vdot(x1, x1).real)
@@ -181,7 +181,7 @@ def ls_decompose(rho):
     assembled from the rescaled basis x''.
     """
     w = wootters_basis(rho)
-    lam = w.lambdas.lambdas
+    lam = w.lambdas
     cls = _classify(rho, lam)
     if cls == "separable":
         phases = _closure_phases(lam)
@@ -204,7 +204,7 @@ def ls_decompose(rho):
             sep=sep,
             pure=psi,
             xpp=ws.xs,
-            lambdas_pp=ws.lambdas.lambdas.copy(),
+            lambdas_pp=ws.lambdas.copy(),
             zs=_build_zs(ws.xs, DEFAULT_PHASES),
             rank_class=cls,
             phases=DEFAULT_PHASES.copy(),
@@ -509,7 +509,7 @@ def verify_optimality(rho, d, tol=1e-8):
     """
     tol = _checked_tol(tol)
     w = wootters_basis(rho)
-    lam = w.lambdas.lambdas
+    lam = w.lambdas
     cls = _classify(rho, lam)
     if cls != d.rank_class:
         raise RankMismatch(

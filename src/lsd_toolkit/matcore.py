@@ -37,9 +37,8 @@ SUPPORT_EPS = 8.0 * np.finfo(float).eps
 def _checked_tol(tol):
     """tol as a float; ValueError unless it is a finite number >= 0.
 
-    The one check of a caller's tolerance: the kernels' tol,
-    verify_optimality's tol, a suite's tol override and the CLI's --tol
-    all go through it.
+    The one check of a caller's tolerance: verify_optimality's tol, a
+    suite's tol override and the CLI's --tol all go through it.
     """
     value = float(tol)
     if not 0.0 <= value < math.inf:
@@ -47,7 +46,7 @@ def _checked_tol(tol):
     return value
 
 
-def herm_eig(h, tol=1e-10):
+def herm_eig(h):
     """Checked eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w sorted in descending order and the
@@ -57,11 +56,9 @@ def herm_eig(h, tol=1e-10):
     the order of a diagonal input.
 
     Raises NotHermitian when an entry is not finite, or when
-    max|h - h^dag| exceeds tol relative to the larger of 1 and the
-    largest entry magnitude.  A tol that is not a finite number >= 0
-    raises ValueError.
+    max|h - h^dag| exceeds 1e-10 relative to the larger of 1 and the
+    largest entry magnitude.
     """
-    tol = _checked_tol(tol)
     a = np.asarray(h)
     a = a.astype(complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -73,9 +70,9 @@ def herm_eig(h, tol=1e-10):
     _check_finite(a)
     ah = a.conj().T
     res = np.abs(a - ah).max()
-    # the bound is at least tol, so only a larger residual needs the scale
-    if res > tol:
-        bound = tol * max(1.0, np.abs(a).max())
+    # the bound is at least 1e-10, so only a larger residual needs the scale
+    if res > 1e-10:
+        bound = 1e-10 * max(1.0, np.abs(a).max())
         if res > bound:
             raise NotHermitian("max|h - h^dag| = %.3e exceeds %.3e" % (res, bound))
     w, v = np.linalg.eigh(-((a + ah) / 2.0))
@@ -117,7 +114,7 @@ def _real_embedding(t):
     return e
 
 
-def takagi(tau, tol=1e-10):
+def takagi(tau):
     """Takagi factorization of a complex symmetric matrix.
 
     Returns the tuple (u, lambdas), as herm_eig returns (w, v): a unitary
@@ -138,19 +135,17 @@ def takagi(tau, tol=1e-10):
     so those rows of u come from a QR completion of the others instead:
     tau conj(v) = 0 for every v orthogonal to the range of tau.
 
-    Raises NotSymmetric when max|tau - tau.T| exceeds tol relative to the
-    larger of 1 and the largest entry magnitude, and ValueError for a tol
-    that is not a finite number >= 0.
+    Raises NotSymmetric when max|tau - tau.T| exceeds 1e-10 relative to
+    the larger of 1 and the largest entry magnitude.
     """
-    tol = _checked_tol(tol)
     t = np.array(tau, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("takagi expects a square matrix")
     n = t.shape[0]
     scale = max(1.0, float(np.abs(t).max())) if n else 1.0
     res = float(np.abs(t - t.T).max()) if n else 0.0
-    if res > tol * scale:
-        raise NotSymmetric("max|tau - tau.T| = %.3e exceeds %.3e" % (res, tol * scale))
+    if res > 1e-10 * scale:
+        raise NotSymmetric("max|tau - tau.T| = %.3e exceeds %.3e" % (res, 1e-10 * scale))
     s, z = herm_eig(_real_embedding((t + t.T) / 2.0))
     v = z[0::2, :n] + 1j * z[1::2, :n]
     keep = support(s[:n])

@@ -90,36 +90,9 @@ class DensityMatrix:
         object.__setattr__(self, "_eig", (w, v))
 
 
-def spin_flip_matrix(m):
-    """Spin flip of a raw 4x4 matrix: SIGMA_YY @ conj(m) @ SIGMA_YY."""
-    return SIGMA_YY @ np.conj(m) @ SIGMA_YY
-
-
 def spin_flip_vec(v):
     """Spin flip of a two-qubit vector: SIGMA_YY @ conj(v)."""
     return SIGMA_YY @ np.conj(v)
-
-
-def spin_flip(rho):
-    """Spin-flipped state of a density matrix, as a raw 4x4 array."""
-    return spin_flip_matrix(rho.m)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumLambda:
-    """Descending non-negative lambda spectrum of a two-qubit state."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.lambdas, dtype=float)
-        if arr.shape != (4,):
-            raise ValueError("lambda spectrum must have four entries")
-        if not np.isfinite(arr).all():
-            raise ValueError("lambda spectrum must be finite")
-        if (arr < -1e-12).any() or (arr[:-1] < arr[1:] - 1e-12).any():
-            raise ValueError("lambda spectrum must be non-negative and descending")
-        object.__setattr__(self, "lambdas", np.clip(arr, 0.0, None))
 
 
 def lambda_spectrum_raw(m):
@@ -150,32 +123,25 @@ def lambda_spectrum_raw(m):
 
 
 def lambda_spectrum(rho):
-    """Lambda spectrum of a validated state."""
-    return SpectrumLambda(lambda_spectrum_raw(rho.m))
-
-
-@dataclass(frozen=True, eq=False)
-class EigenEnsemble:
-    """Subnormalized eigenvectors v_i, row i of vs, summing |v_i><v_i| to the state."""
-
-    vs: ComplexArray
+    """Lambda spectrum of a validated state, a descending (4,) float array."""
+    return lambda_spectrum_raw(rho.m)
 
 
 def eigen_ensemble(rho):
     """Eigen-ensemble of a state: v_i = sqrt(mu_i) times the i-th eigenvector.
 
-    Returns the vectors as the rows of a (4, 4) array.  Reads the
-    eigenpair the state kept from its validation, so it solves no
-    eigenproblem.  Eigenvalues at or below the support cut of
-    matcore.support, 8 eps times the largest, produce exact zero rows,
-    so later stages can rely on rank-deficient vectors being
-    identically zero.
+    Returns the subnormalized vectors as the rows of a complex (4, 4)
+    array; their |v_i><v_i| sum to the state.  Reads the eigenpair the
+    state kept from its validation, so it solves no eigenproblem.
+    Eigenvalues at or below the support cut of matcore.support, 8 eps
+    times the largest, produce exact zero rows, so later stages can rely
+    on rank-deficient vectors being identically zero.
     """
     w, v = rho._eig
     keep = support(w)
     vs = np.zeros((4, 4), dtype=complex)
     vs[keep] = np.sqrt(w[keep])[:, None] * v[:, keep].T
-    return EigenEnsemble(vs=vs)
+    return vs
 
 
 def sample_random(seed, rank=4):

@@ -100,14 +100,14 @@ def run_wootters_suite(n=200, seed=0, tol=None):
         lam = lambda_spectrum_raw(rho.m)
         w = wootters_basis(rho)
         c_spec = concurrence(rho)
-        c_basis = max(0.0, float(w.lambdas.lambdas[0] - np.sum(w.lambdas.lambdas[1:])))
+        c_basis = max(0.0, float(w.lambdas[0] - np.sum(w.lambdas[1:])))
         two_routes.add(s, abs(c_spec - c_basis))
 
         recon.add(s, np.max(np.abs(_outer_sum(w.xs) - rho.m)))
 
         xc = np.conj(w.xs)
         overlap = xc @ SIGMA_YY @ xc.T
-        ortho.add(s, np.max(np.abs(overlap - np.diag(w.lambdas.lambdas))))
+        ortho.add(s, np.max(np.abs(overlap - np.diag(w.lambdas))))
 
         norms.add(s, abs(sum(float(np.vdot(x, x).real) for x in w.xs) - 1.0))
 

@@ -15,7 +15,7 @@ from .matcore import herm_eig, takagi
 from .qstate import (
     SIGMA_YY,
     ComplexArray,
-    SpectrumLambda,
+    RealArray,
     _family,
     _read_only,
     eigen_ensemble,
@@ -28,14 +28,17 @@ class TauMatrix:
     """Symmetric spin-flip overlap matrix tau_ij = <v_i|vtilde_j>.
 
     Symmetric by construction; takagi, which factorizes it, checks that.
+    It stays a record of one array because the benchmark in bench/ reads
+    tau_matrix(...).tau, and that code is kept fixed across library
+    versions so that their timings compare.
     """
 
     tau: np.ndarray
 
 
-def tau_matrix(ens):
-    """Spin-flip overlap matrix of an eigen-ensemble."""
-    vc = np.conj(ens.vs)
+def tau_matrix(vs):
+    """Spin-flip overlap matrix of an eigen-ensemble, its (4, 4) row array vs."""
+    vc = np.conj(vs)
     return TauMatrix(tau=vc @ SIGMA_YY @ vc.T)
 
 
@@ -44,23 +47,34 @@ class WoottersDecomposition:
     """Four vectors x_i with <x_i|xtilde_j> = lambda_i delta_ij.
 
     x_i is row i of the complex (4, 4) array xs, and the x_i sum to the
-    state they decompose; lambdas is its lambda spectrum, and u the
-    unitary connecting xs to the eigen-ensemble, xs = conj(u) vs.
-    Construction rechecks the tilde orthogonality, the unit trace sum,
-    and the unitarity of u.
+    state they decompose; lambdas is its lambda spectrum, a read-only
+    (4,) float array, and u the unitary connecting xs to the
+    eigen-ensemble, xs = conj(u) vs.  Construction checks that lambdas
+    has four finite entries, none below -1e-12 and each no more than
+    1e-12 above the one before, and raises ValueError otherwise; it
+    clips the entries at 0.  It then rechecks the tilde orthogonality,
+    the unit trace sum, and the unitarity of u.
     """
 
     xs: ComplexArray
-    lambdas: SpectrumLambda
-    u: np.ndarray
+    lambdas: RealArray
+    u: ComplexArray
 
     def __post_init__(self):
+        lam = np.array(self.lambdas, dtype=float)
+        if lam.shape != (4,):
+            raise ValueError("lambda spectrum must have four entries")
+        if not np.isfinite(lam).all():
+            raise ValueError("lambda spectrum must be finite")
+        if (lam < -1e-12).any() or (lam[:-1] < lam[1:] - 1e-12).any():
+            raise ValueError("lambda spectrum must be non-negative and descending")
+        lam = np.clip(lam, 0.0, None)
+        _read_only(lam)
         xs = _family(self.xs, "x")
         u = np.array(self.u, dtype=complex)
         # written "not res <= tol" so that a NaN residual fails too
         if not float(np.abs(u @ u.conj().T - np.eye(4)).max()) <= 1e-9:
             raise ResidualCheckFailed("u is not unitary within 1e-9")
-        lam = self.lambdas.lambdas
         xc = np.conj(xs)
         overlap = xc @ SIGMA_YY @ xc.T
         res = float(np.abs(overlap - np.diag(lam)).max())
@@ -72,6 +86,7 @@ class WoottersDecomposition:
         if not abs(tr - 1.0) <= 1e-10:
             raise ResidualCheckFailed("norms sum to %.12f instead of 1" % tr)
         object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "u", u)
 
 
@@ -95,10 +110,9 @@ def wootters_basis(rho):
     cached = getattr(rho, "_basis", None)
     if cached is not None:
         return cached
-    ens = eigen_ensemble(rho)
-    tau = tau_matrix(ens)
-    u, lam = takagi(tau.tau)
-    xs = np.conj(u) @ ens.vs
+    vs = eigen_ensemble(rho)
+    u, lam = takagi(tau_matrix(vs).tau)
+    xs = np.conj(u) @ vs
     mods = np.abs(xs)
     rows = np.arange(4)
     k = mods.argmax(axis=1)
@@ -109,8 +123,8 @@ def wootters_basis(rho):
     )
     xs[flip] = -xs[flip]
     u[flip] = -u[flip]
-    w = WoottersDecomposition(xs=xs, lambdas=SpectrumLambda(lam), u=u)
-    _read_only(w.xs, w.lambdas.lambdas, w.u)
+    w = WoottersDecomposition(xs=xs, lambdas=lam, u=u)
+    _read_only(w.xs, w.u)
     object.__setattr__(rho, "_basis", w)
     return w
 
@@ -131,7 +145,7 @@ def _concurrence_of(lam):
 
 def concurrence(rho):
     """max(0, lambda1 - lambda2 - lambda3 - lambda4) of the state."""
-    return _concurrence_of(lambda_spectrum(rho).lambdas)
+    return _concurrence_of(lambda_spectrum(rho))
 
 
 def _entropy_of_weights(ws, base):

@@ -80,7 +80,7 @@ def test_concurrence_two_routes(volume_suite):
     for _, rho, w, _ in volume_suite:
         lam = lambda_spectrum_raw(rho.m)
         c_raw = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-        lam_b = w.lambdas.lambdas
+        lam_b = w.lambdas
         c_basis = max(0.0, lam_b[0] - lam_b[1] - lam_b[2] - lam_b[3])
         worst = max(worst, abs(c_raw - c_basis))
     assert worst <= 1e-9
@@ -103,7 +103,7 @@ def test_basis_reconstruction_and_orthogonality(volume_suite):
         overlap = x.conj().T @ SIGMA_YY @ np.conj(x)
         worst_orth = max(
             worst_orth,
-            float(np.max(np.abs(overlap - np.diag(w.lambdas.lambdas)))),
+            float(np.max(np.abs(overlap - np.diag(w.lambdas)))),
         )
     assert worst_recon <= 1e-10
     assert worst_orth <= 1e-9
@@ -129,7 +129,7 @@ def test_optimal_split_invariants(volume_suite):
             worst_zero = max(worst_zero, abs(np.vdot(z, spin_flip_vec(z))))
         if d.pure is not None:
             checked += 1
-            lam = wootters_basis(d.sep).lambdas.lambdas
+            lam = wootters_basis(d.sep).lambdas
             worst_boundary = max(
                 worst_boundary, abs(lam[0] - lam[1] - lam[2] - lam[3])
             )
@@ -150,7 +150,7 @@ def test_weighted_pure_concurrence_identity(volume_suite):
         if d.pure is None:
             continue
         checked += 1
-        lam = w.lambdas.lambdas
+        lam = w.lambdas
         c_raw = lam[0] - lam[1] - lam[2] - lam[3]
         val = (1.0 - d.weight) * abs(np.vdot(d.pure, spin_flip_vec(d.pure)))
         worst = max(worst, abs(val - c_raw))
@@ -244,7 +244,7 @@ def test_generator_frames_and_spectra():
             phi=tuple(rng.uniform(-2, 2, 2)),
         )
         res = coset_generate(p)
-        achieved = res.wootters.lambdas.lambdas
+        achieved = res.wootters.lambdas
         worst_spec = max(
             worst_spec,
             float(np.max(np.abs(achieved - lam / res.trace_factor))),
@@ -258,7 +258,7 @@ def test_generator_frames_and_spectra():
         )
         worst_bell = max(
             worst_bell,
-            float(np.max(np.abs(res.wootters.lambdas.lambdas - np.array(ps)))),
+            float(np.max(np.abs(res.wootters.lambdas - np.array(ps)))),
         )
     assert worst_bell <= 1e-12
     report(
@@ -280,12 +280,12 @@ def test_local_unitary_orbit():
     worst_spec = 0.0
     for i in range(50):
         rho = states[i % len(states)]
-        lam = lambda_spectrum(rho).lambdas
+        lam = lambda_spectrum(rho)
         u1, u2 = haar_su2(rng), haar_su2(rng)
         moved = local_unitary_action(u1, u2, rho)
         worst_spec = max(
             worst_spec,
-            float(np.max(np.abs(lambda_spectrum(moved).lambdas - lam))),
+            float(np.max(np.abs(lambda_spectrum(moved) - lam))),
         )
     assert worst_spec <= 1e-9
 

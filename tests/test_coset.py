@@ -56,7 +56,7 @@ def params(lambdas=(0.4, 0.3, 0.2, 0.1), theta=(0.0, 0.0), xi=(0.0, 0.0), phi=(0
 
 def unit_basis(xs):
     """Stand-in for a basis with unit lambdas, whose build_x frame is xs.T."""
-    return SimpleNamespace(xs=np.asarray(xs), lambdas=SimpleNamespace(lambdas=np.ones(4)))
+    return SimpleNamespace(xs=np.asarray(xs), lambdas=np.ones(4))
 
 
 def x_of_y(y):
@@ -191,7 +191,7 @@ class TestCosetGenerate:
     def test_bell_diagonal_at_zero_angles(self):
         res = coset_generate(params(lambdas=(0.4, 0.3, 0.2, 0.1)))
         assert abs(res.trace_factor - 1.0) < 1e-12
-        lam = res.wootters.lambdas.lambdas
+        lam = res.wootters.lambdas
         assert np.max(np.abs(lam - [0.4, 0.3, 0.2, 0.1])) < 1e-12
         for b, p in zip([PHI_P, PSI_P, PSI_M, PHI_M], [0.4, 0.3, 0.2, 0.1]):
             found = max(abs(np.vdot(b, x)) for x in res.wootters.xs)
@@ -208,15 +208,15 @@ class TestCosetGenerate:
                 phi=rng.uniform(-2, 2, 2),
             )
             res = coset_generate(p)
-            achieved = res.wootters.lambdas.lambdas
+            achieved = res.wootters.lambdas
             assert np.max(np.abs(achieved - lam / res.trace_factor)) < 1e-8
 
     def test_spectrum_check_against_state(self):
         res = coset_generate(
             params(lambdas=(0.5, 0.25, 0.15, 0.1), theta=(0.9, -0.4), xi=(1.2, 0.3))
         )
-        lam = lambda_spectrum(res.rho).lambdas
-        assert np.max(np.abs(lam - res.wootters.lambdas.lambdas)) < 1e-9
+        lam = lambda_spectrum(res.rho)
+        assert np.max(np.abs(lam - res.wootters.lambdas)) < 1e-9
 
     def test_strongly_squeezed(self):
         # large squeezing drives the trace factor into the thousands; the
@@ -229,7 +229,7 @@ class TestCosetGenerate:
         )
         res = coset_generate(p)
         assert res.trace_factor > 100.0
-        achieved = res.wootters.lambdas.lambdas
+        achieved = res.wootters.lambdas
         target = np.array(p.lambdas) / res.trace_factor
         assert np.max(np.abs(achieved - target)) < 1e-10
 
@@ -237,7 +237,7 @@ class TestCosetGenerate:
         res = coset_generate(
             params(lambdas=(0.6, 0.4, 0.0, 0.0), theta=(0.3, 0.2), xi=(0.5, 0.1))
         )
-        lam = res.wootters.lambdas.lambdas
+        lam = res.wootters.lambdas
         assert lam[2] == 0.0
         assert lam[3] == 0.0
 
@@ -287,10 +287,10 @@ class TestLocalUnitaryOrbit:
         rng = np.random.default_rng(5)
         for seed in range(10):
             rho = sample_random(seed, rank=4)
-            lam = lambda_spectrum(rho).lambdas
+            lam = lambda_spectrum(rho)
             u1, u2 = haar_su2(rng), haar_su2(rng)
             moved = local_unitary_action(u1, u2, rho)
-            assert np.max(np.abs(lambda_spectrum(moved).lambdas - lam)) < 1e-9
+            assert np.max(np.abs(lambda_spectrum(moved) - lam)) < 1e-9
             assert abs(concurrence(moved) - concurrence(rho)) < 1e-9
 
     def test_matches_the_kron_form(self):

@@ -137,7 +137,7 @@ class TestBellDiagonal:
     def test_boundary_spectrum(self):
         d = ls_decompose(bell_diagonal([0.7, 0.1, 0.1, 0.1]))
         assert np.max(np.abs(d.lambdas_pp - [0.5, 1 / 6, 1 / 6, 1 / 6])) < 1e-12
-        lam = lambda_spectrum(d.sep).lambdas
+        lam = lambda_spectrum(d.sep)
         assert np.max(np.abs(lam - [0.5, 1 / 6, 1 / 6, 1 / 6])) < 1e-10
 
     def test_leading_vector_rescale(self):
@@ -524,7 +524,7 @@ def _ref_families(rho, d):
                 distinct.append(a)
         return [[zs[a], d.pure] for a in distinct], []
     _, rest, _ = lsd._optimal_weight(w)
-    lam0 = float(w.lambdas.lambdas[0])
+    lam0 = float(w.lambdas[0])
     single_idx, indep, dep = {
         "full": (
             [0, 1, 2, 3],
@@ -724,7 +724,7 @@ class TestOncePerState:
         assert arr.flags.writeable
         assert rho.m[0, 0] != arr[0, 0]
         w = wootters_basis(rho)
-        for a in (rho.m, w.u, w.lambdas.lambdas, w.xs):
+        for a in (rho.m, w.u, w.lambdas, w.xs):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0

@@ -229,25 +229,6 @@ class TestRealEmbedding:
         assert any(zeros) and not all(zeros)
 
 
-class TestKernelTolerance:
-    """A kernel's tol must be a finite number >= 0, like every tol."""
-
-    BAD = [np.nan, np.inf, -np.inf, -1.0]
-
-    @pytest.mark.parametrize("tol", BAD)
-    def test_herm_eig(self, tol):
-        with pytest.raises(ValueError, match="tol must be"):
-            herm_eig(np.eye(2), tol=tol)
-        herm_eig(np.eye(2), tol=0.0)
-
-    @pytest.mark.parametrize("tol", BAD)
-    def test_takagi(self, tol):
-        # a NaN tol once switched the symmetry test off
-        with pytest.raises(ValueError, match="tol must be"):
-            takagi(np.array([[1.0, 2.0], [2.5, 1.0]]), tol=tol)
-        takagi(np.eye(2), tol=0.0)
-
-
 def dual_of(vecs):
     """Duals of one family, as columns: the stacked kernel on a stack of one."""
     return _dual_basis(np.column_stack(vecs)[None])[0]

@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lsd_toolkit
@@ -31,7 +32,6 @@ PUBLIC = [
     # the state rho and its lambda spectrum
     "DensityMatrix",
     "sample_random",
-    "SpectrumLambda",
     "lambda_spectrum",
     "lambda_spectrum_raw",
     "herm_eig",
@@ -92,6 +92,7 @@ def _imported_from_package(path):
 
 def test_all_is_the_declared_surface():
     assert lsd_toolkit.__all__ == PUBLIC
+    assert len(PUBLIC) == 57
     assert len(set(PUBLIC)) == len(PUBLIC)
     for name in PUBLIC:
         getattr(lsd_toolkit, name)
@@ -130,3 +131,30 @@ def test_users_import_only_public_names(user):
     assert names
     for name in names:
         assert name in PUBLIC or (PACKAGE / (name + ".py")).is_file(), name
+
+
+def test_calls_the_benchmark_makes():
+    # the library calls of bench/workloads.py, with its arguments and the
+    # attributes it reads, so an API change that breaks the traced
+    # benchmark fails here too
+    lt = lsd_toolkit
+    rho = lt.density_from_json(lt.to_json(lt.sample_random(3)))
+    lam = lt.lambda_spectrum(rho)
+    assert lam.shape == (4,)
+    lt.concurrence(rho)
+    lt.entanglement_of_formation(rho)
+    d = lt.ls_decompose(rho)
+    rep = lt.verify_optimality(rho, d, tol=1e-8)
+    assert lt.report_to_json(rep)["verdict"] is True
+    lt.wootters_basis(rho)
+    lt.herm_eig(rho.m)
+    _, takagi_lam = lt.takagi(lt.tau_matrix(lt.eigen_ensemble(rho)).tau)
+    assert np.max(np.abs(takagi_lam - lam)) < 1e-9
+    rho = lt.DensityMatrix(rho.m)
+    lt.verify_optimality(rho, lt.ls_decompose(rho), tol=1e-8)
+    p = lt.CosetParams(lambdas=lam, theta=(0.1, 0.2), xi=(0.3, 0.4), phi=(0.5, 0.6))
+    res = lt.coset_generate(p)
+    spec = lt.lambda_spectrum_raw(res.rho.m)
+    assert np.max(np.abs(spec - lam / res.trace_factor)) < 1e-9
+    for run in (lt.run_wootters_suite, lt.run_lsd_suite, lt.run_coset_suite):
+        run(n=1, seed=0)

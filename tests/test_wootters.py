@@ -5,7 +5,6 @@ from lsd_toolkit.errors import NotNormalized, ResidualCheckFailed
 from lsd_toolkit.matcore import takagi
 from lsd_toolkit.qstate import (
     DensityMatrix,
-    EigenEnsemble,
     eigen_ensemble,
     lambda_spectrum_raw,
     sample_random,
@@ -47,8 +46,8 @@ class TestTauMatrix:
         # (-1, +1, -1, +1), so the overlap matrix of a Bell ensemble
         # is diag(-p1, p2, -p3, p4)
         ps = [0.4, 0.3, 0.2, 0.1]
-        ens = EigenEnsemble(vs=tuple(np.sqrt(p) * b for p, b in zip(ps, BELLS)))
-        tau = tau_matrix(ens).tau
+        vs = np.array([np.sqrt(p) * b for p, b in zip(ps, BELLS)])
+        tau = tau_matrix(vs).tau
         expect = np.diag([-0.4, 0.3, -0.2, 0.1])
         assert np.max(np.abs(tau - expect)) < 1e-14
 
@@ -67,20 +66,20 @@ class TestWoottersBasis:
             total = x @ x.conj().T
             assert np.max(np.abs(total - rho.m)) < 1e-10
             overlap = x.conj().T @ SIGMA_YY @ np.conj(x)
-            assert np.max(np.abs(overlap - np.diag(w.lambdas.lambdas))) < 1e-9
+            assert np.max(np.abs(overlap - np.diag(w.lambdas))) < 1e-9
 
     def test_matches_raw_spectrum(self):
         for seed in range(120):
             rho = sample_random(seed, rank=2 + seed % 3)
             w = wootters_basis(rho)
             raw = lambda_spectrum_raw(rho.m)
-            assert np.max(np.abs(w.lambdas.lambdas - raw)) < 1e-9
+            assert np.max(np.abs(w.lambdas - raw)) < 1e-9
 
     def test_u_connects_eigen_ensemble(self):
         for seed in range(30):
             rho = sample_random(seed)
             w = wootters_basis(rho)
-            v = np.column_stack(eigen_ensemble(rho).vs)
+            v = eigen_ensemble(rho).T
             x = np.column_stack(w.xs)
             assert np.max(np.abs(v @ w.u.conj().T - x)) < 1e-11
 
@@ -119,9 +118,9 @@ class TestWoottersBasis:
             states.append(pure(psi / np.linalg.norm(psi)))
         flips = 0
         for rho in states:
-            ens = eigen_ensemble(rho)
-            u, _ = takagi(tau_matrix(ens).tau)
-            xs = np.conj(u) @ ens.vs
+            vs = eigen_ensemble(rho)
+            u, _ = takagi(tau_matrix(vs).tau)
+            xs = np.conj(u) @ vs
             for i, x in enumerate(xs):
                 if float(np.max(np.abs(x))) != 0.0 and sign(x) < 0.0:
                     xs[i] = -x
@@ -148,7 +147,7 @@ class TestWoottersBasis:
         # weights (0.5, 0.2, 0.2, 0.1): the middle two vectors stay
         # aligned with their Bell directions despite the degeneracy
         w = wootters_basis(bell_diagonal([0.5, 0.2, 0.2, 0.1]))
-        assert np.max(np.abs(w.lambdas.lambdas - [0.5, 0.2, 0.2, 0.1])) < 1e-10
+        assert np.max(np.abs(w.lambdas - [0.5, 0.2, 0.2, 0.1])) < 1e-10
         for i, (b, p) in enumerate(
             [(PHI_P, 0.5), (PSI_P, 0.2), (PSI_M, 0.2), (PHI_M, 0.1)]
         ):
@@ -161,13 +160,9 @@ class TestWoottersBasis:
 class TestWoottersDecompositionValidation:
     def test_rejects_tampered_lambdas(self):
         w = wootters_basis(sample_random(2))
-        lam = np.array(w.lambdas.lambdas)
-        lam = np.sort(lam + 0.05)[::-1]
-        lam = lam / 1.0
-        from lsd_toolkit.qstate import SpectrumLambda
-
+        lam = np.sort(w.lambdas + 0.05)[::-1]
         with pytest.raises(ValueError):
-            WoottersDecomposition(xs=w.xs, lambdas=SpectrumLambda(lam), u=w.u)
+            WoottersDecomposition(xs=w.xs, lambdas=lam, u=w.u)
 
     def test_rejects_non_unitary_u(self):
         w = wootters_basis(sample_random(2))
