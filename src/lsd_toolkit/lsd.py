@@ -21,8 +21,8 @@ from .errors import NoPurePart, PhaseConstraintViolated, RankMismatch
 from .matcore import (
     _DEPENDENT,
     _SINGULAR,
-    _check_condition,
     _check_finite,
+    _check_magnitudes,
     _checked_svd,
     _checked_tol,
     _dual_basis,
@@ -368,16 +368,25 @@ class OptimalityReport:
     structural: Tuple[StructuralCheck, ...]
 
 
-def _parallel(u, v):
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return True
-    return abs(np.vdot(u, v)) / (nu * nv) > 1.0 - 1e-10
+def _parallel_matrix(zs):
+    """Mask of the parallel pairs of rows of zs.
+
+    Rows u and v are parallel when |<u|v>| / (|u| |v|) exceeds 1 - 1e-10,
+    or when one of them is zero.  One Gram product and one norm per row
+    serve every pair.
+    """
+    norms = np.linalg.norm(zs, axis=1)
+    nn = np.outer(norms, norms)
+    cos = np.ones((4, 4))
+    # a zero row divides nothing, so it raises no floating-point warning
+    np.divide(np.abs(np.conj(zs) @ zs.T), nn, out=cos, where=nn > 0.0)
+    return cos > 1.0 - 1e-10
 
 
 # families of the entangled classes: the singles, the independent pairs and
-# the pairs tied by z_a + z_b = x''_1, which get the closed-form check
+# the pairs tied by z_a + z_b = x''_1, which get the closed-form check.  In
+# the full and rank3 rows every single lies in an independent pair, so the
+# margin reads the pairs alone (see _independence_margin)
 _ENTANGLED_FAMILIES = {
     "full": ((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), ()),
     "rank3": ((0, 1, 2, 3), ((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 3), (1, 2))),
@@ -390,28 +399,33 @@ def _sandwiches(minv, u, v):
     return (np.conj(u)[:, None, :] @ minv @ v[:, :, None])[:, 0, 0]
 
 
-def _independence_margin(zs, lams, families, anchor, coeff):
+def _independence_margin(zs, lams, groups, anchor, coeff):
     """Smallest s_min / s_max over the families (z_a for a in group, then anchor).
 
-    families holds one list of groups per family size, and each size
-    takes one batched SVD.  The coefficients diag(Lambda_a ..., coeff)
-    are tested by their magnitudes, the singular values of a diagonal.
+    The groups have one size and take one batched SVD; no groups give
+    inf.  The coefficients diag(Lambda_a ..., coeff) are tested by their
+    magnitudes, the singular values of a diagonal, as Python floats.
+
+    The caller passes only the families that can decide the margin and
+    the tests.  A single (z_a, anchor) is a column subset of an
+    independent pair (z_a, z_b, anchor), and deleting a column moves
+    neither singular value outward (interlacing): its s_min / s_max is no
+    smaller than the pair's.  Its coefficient ratio over (Lambda_a,
+    coeff) is likewise no smaller than the pair's over (Lambda_a,
+    Lambda_b, coeff).  So where every single lies in a pair, the singles
+    decide neither the margin nor either condition test.
     """
-    margin = math.inf
-    lams = np.array(lams)
-    for groups in families:
-        idx = np.array(groups)
-        fams, diags = zs[idx], lams[idx]
-        if anchor is not None:
-            k = len(idx)
-            fams = np.concatenate([fams, np.broadcast_to(anchor, (k, 1, 4))], axis=1)
-            diags = np.concatenate([diags, np.full((k, 1), coeff)], axis=1)
-        _, s, _ = _checked_svd(fams.swapaxes(1, 2), *_DEPENDENT)
-        mags = np.abs(diags)
-        _check_finite(mags)
-        _check_condition(-np.sort(-mags), *_SINGULAR)
-        margin = min(margin, float((s[:, -1] / s[:, 0]).min()))
-    return margin
+    if not groups:
+        return math.inf
+    idx = np.array(groups)
+    fams = zs[idx]
+    tail = []
+    if anchor is not None:
+        fams = np.concatenate([fams, np.broadcast_to(anchor, (len(idx), 1, 4))], axis=1)
+        tail = [abs(coeff)]
+    _, s, _ = _checked_svd(fams.swapaxes(1, 2), *_DEPENDENT)
+    _check_magnitudes([[abs(lams[a]) for a in g] + tail for g in groups], *_SINGULAR)
+    return float((s[:, -1] / s[:, 0]).min())
 
 
 def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
@@ -496,12 +510,21 @@ def verify_optimality(rho, d, tol=1e-8):
     margin: the smallest s_min / s_max over the single and independent
     pair families.  A family with (s_min / s_max)**2 below 1e-12 raises
     DependentVectors, and one whose diagonal coefficients have min / max
-    below 1e-12 raises SingularCoefficients.  The condition has content
-    only for dependent vectors, the pairs tied by z_a + z_b = x''_1 of
-    the rank3 and rank2 classes; those get the closed form of Karnas &
-    Lewenstein, J. Phys. A 34, 6919 (2001), as PairCheck records: one
-    stack of all the pairs goes through matcore's dual-basis and
-    restricted-inverse helpers, one batched SVD each.
+    below 1e-12 raises SingularCoefficients.  Only the families that can
+    decide these are computed.  By singular-value interlacing a single
+    (z_a, anchor), a column subset of the pair (z_a, z_b, anchor), has
+    an s_min / s_max and a coefficient ratio no smaller than the pair's;
+    in the full and rank3 classes every single lies in an independent
+    pair, so their pairs alone take one batched SVD.  A separable single
+    is one vector with ratio exactly 1, so the separable margin is the
+    smaller of 1 and its pairs' ratios.  The rank2 and pure classes have
+    no pairs and take one batched SVD of their singles.
+
+    The condition has content only for dependent vectors, the pairs tied
+    by z_a + z_b = x''_1 of the rank3 and rank2 classes; those get the
+    closed form of Karnas & Lewenstein, J. Phys. A 34, 6919 (2001), as
+    PairCheck records: one stack of all the pairs goes through matcore's
+    dual-basis and restricted-inverse helpers, one batched SVD each.
 
     The verdict is True when every structural check and every closed-form
     pair lands within tol (the partial-transpose check has its own
@@ -555,28 +578,33 @@ def verify_optimality(rho, d, tol=1e-8):
 
     zs = d.zs
     lams = [float(np.vdot(z, z).real) for z in zs]
-    anchor = None
-    indep, dep = (), ()
+    margin, dep = math.inf, ()
     if cls == "separable":
-        single_idx = [a for a in range(4) if lams[a] > 1e-14]
-        indep = [
-            (a, b)
-            for i, a in enumerate(single_idx)
-            for b in single_idx[i + 1 :]
-            if not _parallel(zs[a], zs[b])
+        anchor = None
+        live = [a for a in range(4) if lams[a] > 1e-14]
+        par = _parallel_matrix(zs)
+        groups = [
+            (a, b) for i, a in enumerate(live) for b in live[i + 1 :] if not par[a, b]
         ]
+        # a single vector has s_min / s_max = 1 exactly, and its coefficient
+        # fails its test only by not being finite
+        _check_finite(lams)
+        if live:
+            margin = 1.0
     elif cls == "pure":
         anchor = d.pure
+        par = _parallel_matrix(zs)
         single_idx = []
         for a in range(4):
-            if not any(_parallel(zs[a], zs[b]) for b in single_idx):
+            if not par[a, single_idx].any():
                 single_idx.append(a)
+        groups = [(a,) for a in single_idx]
         # pairwise conditions are vacuous at weight zero
     else:
         anchor = x1
         single_idx, indep, dep = _ENTANGLED_FAMILIES[cls]
-    families = [g for g in ([(a,) for a in single_idx], indep) if g]
-    margin = _independence_margin(zs, lams, families, anchor, coeff)
+        groups = indep or [(a,) for a in single_idx]
+    margin = min(margin, _independence_margin(zs, lams, groups, anchor, coeff))
     pairs = []
     if dep and rest > 0.0:
         g = (1.0 - lamw) * float(lam[0]) / rest

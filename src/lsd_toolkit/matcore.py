@@ -135,14 +135,19 @@ def takagi(tau):
     so those rows of u come from a QR completion of the others instead:
     tau conj(v) = 0 for every v orthogonal to the range of tau.
 
-    Raises NotSymmetric when max|tau - tau.T| exceeds 1e-10 relative to
-    the larger of 1 and the largest entry magnitude.
+    Raises NotHermitian when an entry is not finite, and NotSymmetric
+    when max|tau - tau.T| exceeds 1e-10 relative to the larger of 1 and
+    the largest entry magnitude.
     """
     t = np.array(tau, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("takagi expects a square matrix")
     n = t.shape[0]
-    scale = max(1.0, float(np.abs(t).max())) if n else 1.0
+    top = float(np.abs(t).max()) if n else 0.0
+    # checked first: t - t.T on a non-finite entry warns and compares False
+    if not math.isfinite(top):
+        raise NotHermitian("matrix has non-finite entries")
+    scale = max(1.0, top)
     res = float(np.abs(t - t.T).max()) if n else 0.0
     if res > 1e-10 * scale:
         raise NotSymmetric("max|tau - tau.T| = %.3e exceeds %.3e" % (res, 1e-10 * scale))
@@ -176,6 +181,23 @@ def _check_condition(s, error, message, power):
     bad = np.flatnonzero(rc < 1e-12)
     if bad.size:
         raise error(message % rc[bad[0]])
+
+
+def _check_magnitudes(rows, error, message, power):
+    """_check_finite, then _check_condition, on rows of Python floats.
+
+    Each row holds the non-negative singular values of one diagonal
+    block, in any order: its ratio is min / max.  NotHermitian is raised
+    when any entry is not finite, then error for the first row whose
+    (min / max)**power drops below 1e-12.
+    """
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise NotHermitian("matrix has non-finite entries")
+    for row in rows:
+        top = max(row)
+        rc = (min(row) / top if top > 0.0 else 0.0) ** power
+        if rc < 1e-12:
+            raise error(message % rc)
 
 
 def _checked_svd(x, error, message, power):

@@ -115,6 +115,11 @@ def lambda_spectrum_raw(m):
     w, v = herm_eig(m)
     if w[-1] < -1e-10:
         raise NotPSD("matrix eigenvalue %.3e below -1e-10" % w[-1])
+    return _spectrum_of_eig(w, v)
+
+
+def _spectrum_of_eig(w, v):
+    """Lambdas of the PSD matrix with eigenpair (w, v), from g = V sqrt(w)."""
     keep = support(w)
     g = v[:, keep] * np.sqrt(w[keep])
     lam = np.zeros(w.size)
@@ -123,8 +128,12 @@ def lambda_spectrum_raw(m):
 
 
 def lambda_spectrum(rho):
-    """Lambda spectrum of a validated state, a descending (4,) float array."""
-    return lambda_spectrum_raw(rho.m)
+    """Lambda spectrum of a validated state, a descending (4,) float array.
+
+    The route of lambda_spectrum_raw, from the eigenpair the state kept
+    from its validation, so it solves no eigenproblem.
+    """
+    return _spectrum_of_eig(*rho._eig)
 
 
 def eigen_ensemble(rho):

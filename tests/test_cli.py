@@ -76,15 +76,16 @@ class TestAnalyze:
         assert "concurrence: 0.250000" in text
 
     def test_one_spectrum_per_run(self, state_file, tmp_path, monkeypatch):
-        raw = qstate.lambda_spectrum_raw
+        # both spectrum routes end in _spectrum_of_eig
+        inner = qstate._spectrum_of_eig
         calls = []
 
-        def counted(m):
+        def counted(w, v):
             calls.append(1)
-            return raw(m)
+            return inner(w, v)
 
         out = tmp_path / "out.json"
-        monkeypatch.setattr(qstate, "lambda_spectrum_raw", counted)
+        monkeypatch.setattr(qstate, "_spectrum_of_eig", counted)
         assert main(["analyze", "--input", state_file, "--output", str(out)]) == 0
         assert len(calls) == 1
         monkeypatch.undo()

@@ -497,6 +497,14 @@ def _ref_dependent_pair(a, b, za, zb, x1, coeff, g):
     )
 
 
+def _ref_parallel(u, v):
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return True
+    return abs(np.vdot(u, v)) / (nu * nv) > 1.0 - 1e-10
+
+
 def _ref_families(rho, d):
     """The certificate's families in the order it checks them, and its
     closed-form pairs, each through the dual-basis and restricted-inverse
@@ -506,7 +514,7 @@ def _ref_families(rho, d):
     zs = d.zs
     lamw = float(d.weight)
     coeff = (1.0 - lamw) / lamw if lamw > 1e-12 else (1.0 - lamw)
-    parallel = lsd._parallel
+    parallel = _ref_parallel
     if d.rank_class == "separable":
         live = [a for a in range(4) if float(np.vdot(zs[a], zs[a]).real) > 1e-14]
         singles = [[zs[a]] for a in live]
@@ -595,6 +603,104 @@ class TestStackedCertificate:
         assert kinds == {"pure", "rank2", "rank3", "full", "separable", "closed-form"}
 
 
+def _uncovered_singles(table):
+    """(class, a) for each single of the full and rank3 rows in no independent pair."""
+    return [
+        (cls, a)
+        for cls in ("full", "rank3")
+        for a in table[cls][0]
+        if not any(a in pair for pair in table[cls][1])
+    ]
+
+
+def _margin_states():
+    states = [sample_random(s, rank=r) for s in range(50) for r in (1, 2, 3, 4)]
+    rng = np.random.default_rng(7)
+    # Bell-diagonal weights of at most 2/5, below 1/2: separable
+    states += [bell_diagonal((rng.dirichlet(np.ones(4)) + 1.0) / 5.0) for _ in range(10)]
+    states += [werner(1.0 / 3.0 - 1e-9), werner(1.0 / 3.0 + 1e-9), exotic_rank2()]
+    return states
+
+
+class TestInterlacing:
+    """The margin reads only the families that can decide it.
+
+    A single (z_a, anchor) is a column subset of an independent pair
+    (z_a, z_b, anchor), so its s_min / s_max and its coefficient ratio are
+    no smaller than the pair's; a separable single has ratio 1.
+    """
+
+    def test_every_single_lies_in_an_independent_pair(self):
+        table = lsd._ENTANGLED_FAMILIES
+        assert table["full"][1] and table["rank3"][1]
+        assert _uncovered_singles(table) == []
+        # the check is not vacuous: a rank3 row without the pairs through
+        # z_0 leaves that single to itself
+        mutated = dict(table)
+        singles, indep, dep = table["rank3"]
+        mutated["rank3"] = (singles, tuple(p for p in indep if 0 not in p), dep)
+        assert _uncovered_singles(mutated) == [("rank3", 0)]
+
+    def test_margin_is_the_minimum_over_singles_and_pairs(self):
+        states = _margin_states()
+        assert len(states) >= 200
+        classes = set()
+        for rho in states:
+            d = ls_decompose(rho)
+            rep = verify_optimality(rho, d)
+            families, _ = _ref_families(rho, d)
+            ratios = []
+            for fam in families:
+                s = np.linalg.svd(np.column_stack(fam), full_matrices=False)[1]
+                ratios.append(s[-1] / s[0])
+            assert rep.independence_margin == min(ratios)
+            classes.add(d.rank_class)
+        assert classes == {"full", "rank3", "rank2", "pure", "separable"}
+
+    # product states whose lambdas come out as exact zeros
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1, 0], [1, 0]), ([0, 1], [1, 0]), ([1, 0], [0.6, 0.8j]), ([0.6, 0.8], [1, 0])],
+    )
+    def test_product_pure_state_has_margin_one(self, a, b):
+        psi = np.kron(np.array(a, dtype=complex), np.array(b, dtype=complex))
+        rho = DensityMatrix(np.outer(psi, np.conj(psi)))
+        d = ls_decompose(rho)
+        assert d.rank_class == "separable"
+        assert all(_ref_parallel(u, v) for u in d.zs for v in d.zs)
+        rep = verify_optimality(rho, d)
+        assert rep.verdict
+        assert rep.independence_margin == 1.0
+
+    @pytest.mark.parametrize("make", [lambda: werner(0.2), pure_state], ids=["separable", "pure"])
+    def test_zero_vector_is_parallel_to_all_without_a_warning(self, make):
+        # pytest turns any RuntimeWarning, such as one from 0 / 0, into an error
+        rho = make()
+        d = ls_decompose(rho)
+        zs = d.zs.copy()
+        zs[1] = 0.0
+        assert lsd._parallel_matrix(zs)[1].all()
+        assert not verify_optimality(rho, dataclasses.replace(d, zs=zs)).verdict
+
+    def test_single_parallel_to_the_anchor_raises(self):
+        rho = sample_random(1, rank=4)
+        d = ls_decompose(rho)
+        zs = d.zs.copy()
+        zs[2] = 0.7 * wootters_basis(rho).xs[0]
+        with pytest.raises(DependentVectors, match="gram reciprocal condition"):
+            verify_optimality(rho, dataclasses.replace(d, zs=zs))
+
+    def test_dependent_pair_is_reported_before_singular_coefficients(self):
+        # each single (z_a, x_1) is independent but has coefficient 0 at
+        # weight 1; the pair (z_0, z_0, x_1) is dependent, and the pairs
+        # are the only families of a full split
+        rho = sample_random(1, rank=4)
+        d = ls_decompose(rho)
+        zs = (d.zs[0], d.zs[0], d.zs[2], d.zs[3])
+        with pytest.raises(DependentVectors):
+            verify_optimality(rho, dataclasses.replace(d, zs=zs, weight=1.0))
+
+
 class TestJsonRoundTrip:
     def test_decomposition_exact(self):
         d = ls_decompose(sample_random(1, rank=4))
@@ -680,12 +786,20 @@ class TestOncePerState:
         assert rep.verdict
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("rank, batches", [(1, 1), (2, 3), (3, 4), (4, 2)])
+    # a separable or full split has one family size, its independent pairs;
+    # rank3 and rank2 add one stack for the dual basis and one for the
+    # restricted inverse of their closed-form pairs
+    @pytest.mark.parametrize(
+        "rank, batches", [(1, 1), (2, 3), (3, 3), (4, 1), ("bell-separable", 1)]
+    )
     def test_certificate_solves_one_batch_per_record_family(
         self, rank, batches, monkeypatch
     ):
         ls_decompose(sample_random(0, rank=1))
-        rho = sample_random(21, rank=rank)
+        if rank == "bell-separable":
+            rho = bell_diagonal([0.4, 0.3, 0.2, 0.1])
+        else:
+            rho = sample_random(21, rank=rank)
         d = ls_decompose(rho)
         eig = []
         for module in (matcore, qstate, lsd):
@@ -697,6 +811,39 @@ class TestOncePerState:
         assert len(eig) == 1  # ppt_check
         assert len(svd) == batches
         assert len(inv) == len(eigvals) == 0
+
+    # eigh: the state, its Takagi embedding, the separable part of a mixed
+    # entangled split (built as a DensityMatrix) and the partial transpose;
+    # svd: the margin's one batch and two per closed-form stack; qr: the
+    # Takagi completion of a rank-deficient tau
+    @pytest.mark.parametrize(
+        "make, cls, counts",
+        [
+            (lambda: sample_random(21, rank=4), "full", {"eigh": 4, "svd": 1}),
+            (lambda: sample_random(21, rank=3), "rank3", {"eigh": 4, "svd": 3, "qr": 1}),
+            (lambda: sample_random(21, rank=2), "rank2", {"eigh": 4, "svd": 3, "qr": 1}),
+            (lambda: sample_random(21, rank=1), "pure", {"eigh": 3, "svd": 1, "qr": 1}),
+            (
+                lambda: bell_diagonal([0.4, 0.3, 0.2, 0.1]),
+                "separable",
+                {"eigh": 3, "svd": 1},
+            ),
+        ],
+        ids=["full", "rank3", "rank2", "pure", "separable"],
+    )
+    def test_lapack_calls_from_matrix_to_certificate(
+        self, make, cls, counts, monkeypatch
+    ):
+        ls_decompose(sample_random(0, rank=1))  # builds the pure-state partner
+        m = make().m.copy()
+        calls = {}
+        for name in ("eigh", "eigvalsh", "eig", "svd", "qr", "inv", "solve", "det"):
+            calls[name] = _counted(monkeypatch, np.linalg, name)
+        rho = DensityMatrix(m)
+        d = ls_decompose(rho)
+        assert verify_optimality(rho, d).verdict
+        assert d.rank_class == cls
+        assert {name: len(c) for name, c in calls.items() if c} == counts
 
     def test_state_is_eigendecomposed_at_construction_only(self, monkeypatch):
         ls_decompose(sample_random(0, rank=1))

@@ -145,6 +145,20 @@ class TestTakagi:
         with pytest.raises(NotSymmetric):
             takagi(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    # raised before the symmetry test, whose t - t.T would warn on inf - inf;
+    # pytest turns any RuntimeWarning into an error
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)]
+        + [complex(0.0, x) for x in (np.nan, np.inf, -np.inf)],
+    )
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_rejects_non_finite_without_a_warning(self, bad, where):
+        tau = random_symmetric(np.random.default_rng(1))
+        tau[where] = bad
+        with pytest.raises(NotHermitian, match="non-finite"):
+            takagi(tau)
+
     def test_resolves_a_gap_of_1e_9(self):
         target = np.array([0.5, 0.5 - 1e-9, 0.2, 0.1])
         for seed in range(20):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lsd_toolkit import qstate
 from lsd_toolkit.coset import CosetParams, build_x, coset_generate, y_from_x
 from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace, ResidualCheckFailed
 from lsd_toolkit.lsd import (
@@ -351,6 +352,22 @@ class TestLambdaSpectrum:
                 g = graded_factor(seed, rank)
                 for m in (sample_random(seed, rank=rank).m, g @ g.conj().T):
                     assert np.all(lambda_spectrum_raw(m)[rank:] == 0.0)
+
+    def test_state_spectrum_reads_the_kept_eigenpair(self, monkeypatch):
+        states = [sample_random(s, rank=r) for s in range(10) for r in (1, 2, 3, 4)]
+        calls = []
+        real = qstate.herm_eig
+
+        def counted(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(qstate, "herm_eig", counted)
+        for rho in states:
+            lam = lambda_spectrum(rho)
+            assert calls == []
+            assert np.array_equal(lam, lambda_spectrum_raw(rho.m))
+            calls.clear()
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
