@@ -30,7 +30,11 @@ class DependentVectors(LsdToolkitError):
 
 
 class SingularCoefficients(LsdToolkitError):
-    """Coefficient matrix of a restricted operator is numerically singular."""
+    """Coefficients of an operator on a vector family are numerically singular.
+
+    Raised when the diagonal (Lambda_a, ..., coeff) of a family, or the 2x2
+    block of a closed-form pair, has reciprocal condition below 1e-12.
+    """
 
 
 class NoPurePart(LsdToolkitError):

@@ -2,14 +2,15 @@
 
 A Hermitian eigendecomposition (np.linalg.eigh behind finiteness and
 hermiticity checks), Takagi factorization of complex symmetric
-matrices, and the dual-basis and restricted-inverse helpers of the
-optimality certificate.  Everything is sized for the 2x2 and 4x4
-matrices used elsewhere in the package.  Every eigenpair in the package
-comes from herm_eig, and takagi takes one of them, of a real embedding
-of tau.  The dual-basis helpers take stacks of families only, (K, n, k),
-and run one batched SVD of the stack itself, which also gives the
-conditioning it is tested on.  No Gram matrix or other square of an
-input is formed, so no condition number is squared.
+matrices, and the checked SVD and dual basis of the optimality
+certificate.  Everything is sized for the 2x2 and 4x4 matrices used
+elsewhere in the package.  Every eigenpair in the package comes from
+herm_eig, and takagi takes one of them, of a real embedding of tau.
+_checked_svd and _dual_basis take stacks only, (K, n, k), and run one
+batched SVD of the stack itself, which also gives the conditioning it
+is tested on, through the one condition test _check_condition.  No Gram
+matrix or other square of an input is formed, so no condition number
+is squared.
 
 The trailing lambdas of a low-rank state come out as exact zeros not
 because of the solver but because of one support cut, support(w):
@@ -169,27 +170,13 @@ _DEPENDENT = (DependentVectors, "gram reciprocal condition %.3e below 1e-12", 2)
 _SINGULAR = (SingularCoefficients, "reciprocal condition %.3e below 1e-12", 1)
 
 
-def _check_condition(s, error, message, power):
-    """Raise error, for the first such row of a stack s of descending
-    singular values, when (s_min / s_max)**power drops below 1e-12.
+def _check_condition(rows, error, message, power):
+    """Raise NotHermitian when an entry of rows is not finite, then error
+    for the first row whose (min / max)**power drops below 1e-12.
 
-    A row with s_max = 0 has ratio 0.
-    """
-    rc = np.zeros(len(s))
-    np.divide(s[:, -1], s[:, 0], out=rc, where=s[:, 0] > 0.0)
-    rc = rc**power
-    bad = np.flatnonzero(rc < 1e-12)
-    if bad.size:
-        raise error(message % rc[bad[0]])
-
-
-def _check_magnitudes(rows, error, message, power):
-    """_check_finite, then _check_condition, on rows of Python floats.
-
-    Each row holds the non-negative singular values of one diagonal
-    block, in any order: its ratio is min / max.  NotHermitian is raised
-    when any entry is not finite, then error for the first row whose
-    (min / max)**power drops below 1e-12.
+    rows holds Python floats, one row per family or block: its
+    non-negative singular values, in any order.  A row with max 0 has
+    ratio 0.
     """
     if not all(math.isfinite(x) for row in rows for x in row):
         raise NotHermitian("matrix has non-finite entries")
@@ -208,9 +195,8 @@ def _checked_svd(x, error, message, power):
     """
     _check_finite(x)
     u, s, vh = np.linalg.svd(x, full_matrices=False)
-    _check_condition(
-        s if x.shape[2] <= x.shape[1] else np.zeros_like(s), error, message, power
-    )
+    rows = s if x.shape[2] <= x.shape[1] else np.zeros_like(s)
+    _check_condition(rows.tolist(), error, message, power)
     return u, s, vh
 
 
@@ -229,23 +215,3 @@ def _dual_basis(phi):
     phi = np.array(phi, dtype=complex, order="C")
     u, s, vh = _checked_svd(phi, *_DEPENDENT)
     return (u / s[:, None, :]) @ vh
-
-
-def _restricted_inverse(coeffs, dual):
-    """Inverses on their spans of M_i = sum_ab coeffs[i,a,b] |phi_a><phi_b|.
-
-    dual is the stack (K, n, k) that _dual_basis returns for the families
-    phi, and coeffs the blocks (K, k, k).  Returns the stack (K, n, n) of
-    sum_ab inv(coeffs[i])[a,b] |dual_a><dual_b|, which satisfies
-    M_i @ result[i] = identity on span(phi_i).  Each block's inverse is
-    V S^-1 U^dag from one batched SVD, coeffs = U S V^dag.  Raises
-    SingularCoefficients, for the first such block, when its reciprocal
-    condition number s_min / s_max drops below 1e-12.
-    """
-    a = np.array(coeffs, dtype=complex)
-    k = dual.shape[2]
-    if a.shape != (dual.shape[0], k, k):
-        raise ValueError("coefficient matrix shape does not match the basis")
-    u, s, vh = _checked_svd(a, *_SINGULAR)
-    ainv = (vh.conj().swapaxes(1, 2) / s[:, None, :]) @ u.conj().swapaxes(1, 2)
-    return dual @ ainv @ dual.conj().swapaxes(1, 2)

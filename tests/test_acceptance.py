@@ -21,7 +21,7 @@ from lsd_toolkit.coset import (
     y_factor,
 )
 from lsd_toolkit.lsd import ls_decompose, ppt_check, verify_optimality
-from lsd_toolkit.matcore import _dual_basis, _restricted_inverse, takagi
+from lsd_toolkit.matcore import _dual_basis, takagi
 from lsd_toolkit.qstate import (
     DensityMatrix,
     lambda_spectrum,
@@ -171,10 +171,9 @@ def test_optimality_certificates(certified_fixtures):
             rep = verify_optimality(rho, d)
             assert rep.verdict, (rank, rep.max_residual)
             worst = max(worst, rep.max_residual)
-            closed = [p for p in rep.pairwise if p.gamma is not None]
             if closed_expected is not None:
-                assert len(closed) == closed_expected
-            for p in closed:
+                assert len(rep.pairwise) == closed_expected
+            for p in rep.pairwise:
                 assert abs(p.reproduced_a - p.lam_a) <= 1e-8
                 assert abs(p.reproduced_b - p.lam_b) <= 1e-8
         counts[rank] = len(items)
@@ -313,7 +312,7 @@ def test_local_unitary_orbit():
     )
 
 
-def test_matrix_kernel_routines():
+def test_matrix_kernel_routines(certified_fixtures):
     rng = np.random.default_rng(202)
     worst_tak = 0.0
     for _ in range(1000):
@@ -341,22 +340,29 @@ def test_matrix_kernel_routines():
                 worst_dual = max(worst_dual, abs(got - (1.0 if i == j else 0.0)))
     assert worst_dual <= 1e-10
 
-    worst_ri = 0.0
-    for trial in range(100):
-        k = 1 + trial % 4
-        vecs = [
-            rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(k)
-        ]
-        coeffs = np.diag(rng.uniform(0.5, 2.0, k))
-        m = sum(
-            coeffs[i, i] * np.outer(v, np.conj(v)) for i, v in enumerate(vecs)
-        )
-        phi = np.column_stack(vecs)
-        r = _restricted_inverse(coeffs[None], _dual_basis(phi[None]))[0]
-        worst_ri = max(worst_ri, float(np.max(np.abs(m @ r @ phi - phi))))
-    assert worst_ri <= 1e-9
+    # each closed-form pair's measured inverse is <z_i|M^-1|z_j> for the
+    # explicit 4x4 operator M, inverted on span(z_a, z_b)
+    worst_pair, n_pairs = 0.0, 0
+    for items in certified_fixtures.values():
+        for _, rho, d in items:
+            x1 = wootters_basis(rho).xs[0]
+            coeff = (1.0 - d.weight) / d.weight
+            for p in verify_optimality(rho, d).pairwise:
+                z = d.zs[[p.alpha, p.beta]].T
+                m = z @ np.diag([p.lam_a, p.lam_b]) @ z.conj().T
+                m = m + coeff * np.outer(x1, np.conj(x1))
+                q, _ = np.linalg.qr(z)
+                e = z.conj().T @ q @ np.linalg.inv(q.conj().T @ m @ q) @ q.conj().T @ z
+                got = np.array(
+                    [[1.0 / p.diag_a, p.cross], [np.conj(p.cross), 1.0 / p.diag_b]]
+                )
+                worst_pair = max(worst_pair, float(np.max(np.abs(e - got))))
+                n_pairs += 1
+    assert n_pairs > 0
+    assert worst_pair <= 1e-12
     report(
         "matrix kernel routines",
         "symmetric factorization %.2e over 1000 draws, dual frames %.2e, "
-        "restricted inverses %.2e" % (worst_tak, worst_dual, worst_ri),
+        "closed-form pair inverses %.2e over %d pairs"
+        % (worst_tak, worst_dual, worst_pair, n_pairs),
     )

@@ -124,6 +124,33 @@ class TestClassification:
         d = ls_decompose(DensityMatrix(np.outer(E[:, 0], E[:, 0])))
         assert d.rank_class == "separable"
 
+    def test_random_product_states_are_separable_and_certified(self):
+        # their lambda_1 is a rounding residue, not an exact zero
+        rng = np.random.default_rng(31)
+        residues = []
+        for _ in range(50):
+            a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            psi = np.kron(a, b)
+            rho = DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+            residues.append(wootters_basis(rho).lambdas[0])
+            d = ls_decompose(rho)
+            assert (d.rank_class, d.weight, d.pure) == ("separable", 1.0, None)
+            assert verify_optimality(rho, d).verdict
+        assert max(residues) > 0.0
+
+    def test_nearly_product_pure_state_stays_pure(self):
+        # C = 2 sqrt(e (1 - e)) = 1e-6, under seeded local unitaries
+        rng = np.random.default_rng(32)
+        e = 2.5e-13
+        for _ in range(5):
+            u = np.kron(coset.haar_su2(rng), coset.haar_su2(rng))
+            psi = u @ np.array([np.sqrt(1.0 - e), 0.0, 0.0, np.sqrt(e)])
+            rho = DensityMatrix(np.outer(psi, psi.conj()))
+            assert abs(concurrence(rho) - 1e-6) < 1e-12
+            d = ls_decompose(rho)
+            assert (d.rank_class, d.weight) == ("pure", 0.0)
+            assert verify_optimality(rho, d).verdict
+
     def test_exotic_rank_two(self):
         # overlap-matrix rank below the state rank still lands in rank2
         assert ls_decompose(exotic_rank2()).rank_class == "rank2"
@@ -320,9 +347,8 @@ class TestVerifyOptimality:
         rep = verify_optimality(rho, ls_decompose(rho))
         assert rep.verdict
         assert rep.rank_class == "rank3"
-        closed = [p for p in rep.pairwise if p.gamma is not None]
-        assert len(closed) == 2
-        for p in closed:
+        assert len(rep.pairwise) == 2
+        for p in rep.pairwise:
             assert abs(p.reproduced_a - p.lam_a) < 1e-8
             assert abs(p.reproduced_b - p.lam_b) < 1e-8
 
@@ -331,7 +357,7 @@ class TestVerifyOptimality:
         rep = verify_optimality(rho, ls_decompose(rho))
         assert rep.verdict
         assert rep.rank_class == "rank2"
-        assert any(p.gamma is not None for p in rep.pairwise)
+        assert rep.pairwise
 
     def test_exotic_verdict(self):
         rho = exotic_rank2()
@@ -454,28 +480,25 @@ class TestMutationCorpus:
         assert passed == []
 
 
-def _ref_sandwich(minv, u, v):
-    return complex(np.conj(u) @ minv @ v)
+def _inverse_on_span(m, vecs):
+    """Inverse of m on the span of vecs, through an orthonormal basis q of
+    the span: q (q^dag m q)^-1 q^dag."""
+    q, _ = np.linalg.qr(np.column_stack(vecs))
+    return q @ np.linalg.inv(q.conj().T @ m @ q) @ q.conj().T
 
 
 def _ref_dependent_pair(a, b, za, zb, x1, coeff, g):
+    """The pair's record through the explicit 4x4 operator M and its
+    inverse on span(z_a, z_b)."""
     lam_a = float(np.vdot(za, za).real)
     lam_b = float(np.vdot(zb, zb).real)
-    # each kernel on a stack of one family
-    phihat = matcore._dual_basis(np.column_stack([za, zb])[None])[0]
     mmat = (
         lam_a * np.outer(za, np.conj(za))
         + lam_b * np.outer(zb, np.conj(zb))
         + coeff * np.outer(x1, np.conj(x1))
     )
-    a_num = phihat.conj().T @ mmat @ phihat
-    minv = matcore._restricted_inverse(a_num[None], phihat[None])[0]
-    e_meas = np.array(
-        [
-            [_ref_sandwich(minv, za, za), _ref_sandwich(minv, za, zb)],
-            [_ref_sandwich(minv, zb, za), _ref_sandwich(minv, zb, zb)],
-        ]
-    )
+    z = np.column_stack([za, zb])
+    e_meas = z.conj().T @ _inverse_on_span(mmat, [za, zb]) @ z
     gamma = lam_a * lam_b + (lam_a + lam_b) * g
     e_pred = np.array([[lam_b + g, -g], [-g, lam_a + g]], dtype=complex) / gamma
     res_mat = float(np.max(np.abs(e_meas - e_pred)))
@@ -497,6 +520,14 @@ def _ref_dependent_pair(a, b, za, zb, x1, coeff, g):
     )
 
 
+def _assert_records_close(got, want, tol=1e-12):
+    """The same pair and weights; every computed field within tol."""
+    assert (got.alpha, got.beta) == (want.alpha, want.beta)
+    assert (got.lam_a, got.lam_b, got.gamma) == (want.lam_a, want.lam_b, want.gamma)
+    for name in ("cross", "diag_a", "diag_b", "reproduced_a", "reproduced_b", "residual"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= tol, name
+
+
 def _ref_parallel(u, v):
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
@@ -507,8 +538,7 @@ def _ref_parallel(u, v):
 
 def _ref_families(rho, d):
     """The certificate's families in the order it checks them, and its
-    closed-form pairs, each through the dual-basis and restricted-inverse
-    kernels on a stack of one."""
+    closed-form pairs, each through its explicit 4x4 operator."""
     w = wootters_basis(rho)
     x1 = w.xs[0]
     zs = d.zs
@@ -556,13 +586,10 @@ def _ref_families(rho, d):
     return families, pairs
 
 
-def _bits(record):
-    return json.dumps(to_json(record))
-
-
 class TestStackedCertificate:
-    """The stacked closed-form pairs equal one scalar solve per pair, bit
-    for bit, and the margin is the worst of the per-family SVDs."""
+    """The stacked closed-form pairs match the inverse of each pair's 4x4
+    operator on its span to 1e-12, and the margin is the worst of the
+    per-family SVDs."""
 
     STATES = {
         "rank1": lambda: sample_random(2, rank=1),
@@ -584,8 +611,7 @@ class TestStackedCertificate:
         families, pairs = _ref_families(rho, d)
         assert len(rep.pairwise) == len(pairs)
         for got, want in zip(rep.pairwise, pairs):
-            assert got == want
-            assert _bits(got) == _bits(want)
+            _assert_records_close(got, want)
         ratios = []
         for fam in families:
             s = np.linalg.svd(np.column_stack(fam), full_matrices=False)[1]

@@ -8,7 +8,15 @@ from lsd_toolkit.errors import (
     SingularCoefficients,
 )
 from lsd_toolkit import matcore
-from lsd_toolkit.matcore import _dual_basis, _restricted_inverse, herm_eig, takagi
+from lsd_toolkit.matcore import (
+    _DEPENDENT,
+    _SINGULAR,
+    _check_condition,
+    _checked_svd,
+    _dual_basis,
+    herm_eig,
+    takagi,
+)
 
 
 def random_hermitian(rng, n=4):
@@ -248,11 +256,6 @@ def dual_of(vecs):
     return _dual_basis(np.column_stack(vecs)[None])[0]
 
 
-def inverse_of(coeffs, dual):
-    """Restricted inverse of one coefficient block on a stack of one."""
-    return _restricted_inverse(np.asarray(coeffs)[None], dual[None])[0]
-
-
 class TestDualBasis:
     def test_two_vector_example(self):
         phihat = dual_of([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
@@ -289,44 +292,6 @@ class TestDualBasis:
             assert np.max(np.abs(phihat.conj().T @ phi - np.eye(k))) < 1e-9
 
 
-class TestRestrictedInverse:
-    def test_diagonal_coefficients(self):
-        # single-direction weight plus an anchor, coefficients diag(0.3, 0.4)
-        z = np.array([1.0, 1j, 0.0, 0.0]) / np.sqrt(2.0)
-        x = np.array([0.5, 0.0, 0.5, 0.0])
-        a = np.diag([0.3, 0.4]).astype(complex)
-        r = inverse_of(a, dual_of([z, x]))
-        phi = np.column_stack([z, x])
-        e = phi.conj().T @ r @ phi
-        assert np.max(np.abs(e - np.linalg.inv(a))) < 1e-12
-
-    def test_inverse_on_span(self):
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            k = 2 + seed % 3
-            vecs = [
-                rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                for _ in range(k)
-            ]
-            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            a = g @ g.conj().T + 0.1 * np.eye(k)
-            phi = np.column_stack(vecs)
-            m = phi @ a @ phi.conj().T
-            r = inverse_of(a, dual_of(vecs))
-            # M r acts as the identity on the span of the basis
-            assert np.max(np.abs(m @ r @ phi - phi)) < 1e-8
-
-    def test_rejects_singular_coefficients(self):
-        phihat = dual_of([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-        with pytest.raises(SingularCoefficients):
-            inverse_of(np.zeros((2, 2)), phihat)
-
-    def test_rejects_shape_mismatch(self):
-        phihat = dual_of([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-        with pytest.raises(ValueError):
-            inverse_of(np.eye(3), phihat)
-
-
 def random_families(seed, k, n_fam=5):
     rng = np.random.default_rng([k, seed])
     return rng.standard_normal((n_fam, 4, k)) + 1j * rng.standard_normal((n_fam, 4, k))
@@ -344,15 +309,10 @@ class TestStackedKernels:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_each_slice_equals_the_scalar_call(self, k):
         phi = random_families(0, k)
-        coeffs = random_coefficients(0, k)
         dual = _dual_basis(phi)
-        r = _restricted_inverse(coeffs, dual)
         assert dual.shape == (5, 4, k)
-        assert r.shape == (5, 4, 4)
         for i in range(5):
-            one = _dual_basis(phi[i][None])
-            assert np.array_equal(dual[i], one[0])
-            assert np.array_equal(r[i], _restricted_inverse(coeffs[i][None], one)[0])
+            assert np.array_equal(dual[i], _dual_basis(phi[i][None])[0])
 
     def test_dependent_family_raises(self):
         phi = random_families(1, 2)
@@ -362,21 +322,44 @@ class TestStackedKernels:
         _dual_basis(np.delete(phi, 1, axis=0))
 
     def test_singular_block_raises(self):
-        dual = _dual_basis(random_families(2, 3))
         coeffs = random_coefficients(2, 3)
+        _checked_svd(coeffs, *_SINGULAR)
         coeffs[3] = np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
         with pytest.raises(SingularCoefficients):
-            _restricted_inverse(coeffs, dual)
-        with pytest.raises(ValueError):
-            _restricted_inverse(coeffs[:4], dual)
+            _checked_svd(coeffs, *_SINGULAR)
 
     def test_non_finite_slice_raises(self):
         phi = random_families(3, 2)
         phi[2, 0, 1] = np.nan
         with pytest.raises(NotHermitian):
             _dual_basis(phi)
-        dual = _dual_basis(random_families(3, 2))
         coeffs = random_coefficients(3, 2)
         coeffs[4, 1, 1] = np.inf
         with pytest.raises(NotHermitian):
-            _restricted_inverse(coeffs, dual)
+            _checked_svd(coeffs, *_SINGULAR)
+
+
+class TestConditionTest:
+    """_check_condition: finiteness first, then the first failing row."""
+
+    def test_row_with_max_zero_has_ratio_zero(self):
+        with pytest.raises(SingularCoefficients, match="condition 0.000e"):
+            _check_condition([[1.0, 0.5], [0.0, 0.0]], *_SINGULAR)
+        _check_condition([[1.0, 0.5], [2.0, 1.0]], *_SINGULAR)
+
+    def test_reports_the_first_failing_row(self):
+        with pytest.raises(DependentVectors, match="condition 1.000e-14 below 1e-12"):
+            _check_condition([[1.0, 0.1], [1.0, 1e-7], [1.0, 0.0]], *_DEPENDENT)
+
+    def test_more_columns_than_rows_has_ratio_zero(self):
+        # three vectors in C^2 are dependent whatever their singular values
+        fam = random_families(4, 3)[:, :2, :]
+        with pytest.raises(DependentVectors, match="condition 0.000e"):
+            _checked_svd(fam, *_DEPENDENT)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, 0.0], [np.nan, 1.0]], [[np.nan, 1.0], [1.0, 0.0]]]
+    )
+    def test_non_finite_entry_raises_before_a_singular_row(self, rows):
+        with pytest.raises(NotHermitian, match="non-finite"):
+            _check_condition(rows, *_SINGULAR)

@@ -158,3 +158,53 @@ def test_calls_the_benchmark_makes():
     assert np.max(np.abs(spec - lam / res.trace_factor)) < 1e-9
     for run in (lt.run_wootters_suite, lt.run_lsd_suite, lt.run_coset_suite):
         run(n=1, seed=0)
+
+
+def _unused_definitions(sources):
+    """Module-level defs and classes of sources, {file name: text}, that no
+    other top-level statement of any source references by name or
+    attribute, and that __init__.py's __all__ does not list.  Read with
+    ast, so a name in a docstring or a comment does not count."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    public = set()
+    for node in trees["__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            public = set(ast.literal_eval(node.value))
+    assert public, "__init__.py declares no literal __all__"
+    used = []  # (statement, names it references)
+    for tree in trees.values():
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            used.append((stmt, names))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        "%s:%s" % (name, stmt.name)
+        for name, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, defs)
+        and stmt.name not in public
+        and not any(stmt.name in names for other, names in used if other is not stmt)
+    )
+
+
+def _package_sources():
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_definition_is_used_or_public():
+    assert _unused_definitions(_package_sources()) == []
+
+
+def test_unused_definition_guard_reads_code_not_text():
+    sources = _package_sources()
+    # a helper named only in a docstring and an import is still unused
+    sources["matcore.py"] += '\n\ndef _orphan(x):\n    """_orphan(x)"""\n    return _orphan\n'
+    sources["lsd.py"] = '"""Uses _orphan."""\nfrom .matcore import _orphan\n' + sources["lsd.py"]
+    assert _unused_definitions(sources) == ["matcore.py:_orphan"]
