@@ -16,7 +16,6 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
-from .matcore import support
 from .qstate import SIGMA_YY, DensityMatrix, _outer_sum, from_json, to_json
 from .wootters import WoottersDecomposition, _zero_threshold
 
@@ -161,12 +160,9 @@ def coset_generate(params):
     lambdas, and normalizes by the resulting trace factor.  The achieved
     spectrum is params.lambdas / trace_factor.
 
-    The unitary of the returned decomposition, x = v_ens u^dag, comes from
-    the state's own eigenpair (mu_j, v_j): on the support, row j of u^dag
-    is v_j^dag X / sqrt(mu_j), with X the columns x_i, and off it the row
-    is zero.  u^dag is the polar factor A B^dag of one SVD A S B^dag of
-    those rows, the unitary closest to them, which also fills the rows
-    off the support.  Raises ZeroState when all lambdas vanish.
+    The returned decomposition holds the frame's vectors x_i, scaled by
+    the same factor, so the |x_i><x_i| sum to the returned state.
+    Raises ZeroState when all lambdas vanish.
     """
     lam = np.array(params.lambdas, dtype=float)
     if float(lam[0]) <= 0.0:
@@ -176,14 +172,7 @@ def coset_generate(params):
     xs_raw = np.sqrt(lam)[:, None] * xm.T
     t = float(sum(np.vdot(x, x).real for x in xs_raw))
     rho = DensityMatrix(_outer_sum(xs_raw) / t)
-    xs = xs_raw / np.sqrt(t)
-    mu, v = rho._eig
-    sup = support(mu)
-    rows = np.zeros((4, 4), dtype=complex)
-    rows[sup] = (v[:, sup].conj().T @ xs.T) / np.sqrt(mu[sup, None])
-    a, _, bh = np.linalg.svd(rows)
-    u = (a @ bh).conj().T
-    w = WoottersDecomposition(xs=xs, lambdas=lam / t, u=u)
+    w = WoottersDecomposition(xs=xs_raw / np.sqrt(t), lambdas=lam / t)
     return CosetResult(rho=rho, wootters=w, trace_factor=t)
 
 

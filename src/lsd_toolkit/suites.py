@@ -29,10 +29,11 @@ from .qstate import (
     SIGMA_YY,
     DensityMatrix,
     _outer_sum,
+    lambda_spectrum,
     lambda_spectrum_raw,
     sample_random,
 )
-from .wootters import concurrence, wootters_basis
+from .wootters import _concurrence_of, concurrence, wootters_basis
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,9 @@ def run_wootters_suite(n=200, seed=0, tol=None):
     for k in range(n):
         s = seed + k
         rho = sample_random(s, rank=2 + k % 3)
-        lam = lambda_spectrum_raw(rho.m)
+        lam = lambda_spectrum(rho)
         w = wootters_basis(rho)
-        c_spec = concurrence(rho)
+        c_spec = _concurrence_of(lam)
         c_basis = max(0.0, float(w.lambdas[0] - np.sum(w.lambdas[1:])))
         two_routes.add(s, abs(c_spec - c_basis))
 
@@ -198,7 +199,7 @@ def run_coset_suite(n=200, seed=0, tol=None):
         ortho.add(s, np.max(np.abs(y.T @ y - np.eye(4))))
 
         res = coset_generate(p)
-        lam = lambda_spectrum_raw(res.rho.m)
+        lam = lambda_spectrum(res.rho)
         lam_target = np.array(p.lambdas) / res.trace_factor
         spectrum.add(s, np.max(np.abs(lam - lam_target)))
 
@@ -209,7 +210,7 @@ def run_coset_suite(n=200, seed=0, tol=None):
         rng = np.random.default_rng(10_000_000 + s)
         u1, u2 = haar_su2(rng), haar_su2(rng)
         rotated = local_unitary_action(u1, u2, res.rho)
-        orbit.add(s, np.max(np.abs(lambda_spectrum_raw(rotated.m) - lam)))
+        orbit.add(s, np.max(np.abs(lambda_spectrum(rotated) - lam)))
 
         r1 = so4r_image(u1, u2)
         v1, v2 = haar_su2(rng), haar_su2(rng)

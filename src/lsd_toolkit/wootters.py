@@ -46,19 +46,17 @@ def tau_matrix(vs):
 class WoottersDecomposition:
     """Four vectors x_i with <x_i|xtilde_j> = lambda_i delta_ij.
 
-    x_i is row i of the complex (4, 4) array xs, and the x_i sum to the
-    state they decompose; lambdas is its lambda spectrum, a read-only
-    (4,) float array, and u the unitary connecting xs to the
-    eigen-ensemble, xs = conj(u) vs.  Construction checks that lambdas
-    has four finite entries, none below -1e-12 and each no more than
-    1e-12 above the one before, and raises ValueError otherwise; it
-    clips the entries at 0.  It then rechecks the tilde orthogonality,
-    the unit trace sum, and the unitarity of u.
+    x_i is row i of the complex (4, 4) array xs, and the |x_i><x_i| sum
+    to the state they decompose; lambdas is its lambda spectrum, a
+    read-only (4,) float array.  Construction checks that lambdas has
+    four finite entries, none below -1e-12 and each no more than 1e-12
+    above the one before, and raises ValueError otherwise; it clips the
+    entries at 0.  It then rechecks the tilde orthogonality and the unit
+    trace sum.
     """
 
     xs: ComplexArray
     lambdas: RealArray
-    u: ComplexArray
 
     def __post_init__(self):
         lam = np.array(self.lambdas, dtype=float)
@@ -71,13 +69,10 @@ class WoottersDecomposition:
         lam = np.clip(lam, 0.0, None)
         _read_only(lam)
         xs = _family(self.xs, "x")
-        u = np.array(self.u, dtype=complex)
-        # written "not res <= tol" so that a NaN residual fails too
-        if not float(np.abs(u @ u.conj().T - np.eye(4)).max()) <= 1e-9:
-            raise ResidualCheckFailed("u is not unitary within 1e-9")
         xc = np.conj(xs)
         overlap = xc @ SIGMA_YY @ xc.T
         res = float(np.abs(overlap - np.diag(lam)).max())
+        # written "not res <= tol" so that a NaN residual fails too
         if not res <= 1e-9:
             raise ResidualCheckFailed(
                 "tilde orthogonality residual %.3e exceeds 1e-9" % res
@@ -87,20 +82,21 @@ class WoottersDecomposition:
             raise ResidualCheckFailed("norms sum to %.12f instead of 1" % tr)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "u", u)
 
 
 def wootters_basis(rho):
     """Tilde-orthogonal decomposition of a state.
 
     Builds the eigen-ensemble, Takagi-factorizes its spin-flip overlap
-    matrix, and rotates the ensemble by conj(u) so that
-    <x_i|xtilde_j> = lambda_i delta_ij with lambdas descending.
+    matrix, and rotates the ensemble by conj(u), u the unitary Takagi
+    factor, so that <x_i|xtilde_j> = lambda_i delta_ij with lambdas
+    descending.
 
-    The phase freedom of each vector is a sign only, since flipping x_i
-    must be absorbed by a sign flip in row i of u.  Each nonzero x_i is
-    signed so that its largest-modulus component c has a positive real
-    part, or, when |Re c| <= 1e-13 |c|, a non-negative imaginary part.
+    The phase freedom of each vector is a sign only, since a phase
+    e^{i phi} on x_i multiplies <x_i|xtilde_i> = lambda_i by e^{-2i phi}.
+    Each nonzero x_i is signed so that its largest-modulus component c
+    has a positive real part, or, when |Re c| <= 1e-13 |c|, a
+    non-negative imaginary part.
 
     The result is kept on rho, with read-only arrays, and every later
     call on the same state returns it: ls_decompose and
@@ -122,9 +118,8 @@ def wootters_basis(rho):
         (c.real < -eps) | ((np.abs(c.real) <= eps) & (c.imag < 0.0))
     )
     xs[flip] = -xs[flip]
-    u[flip] = -u[flip]
-    w = WoottersDecomposition(xs=xs, lambdas=lam, u=u)
-    _read_only(w.xs, w.u)
+    w = WoottersDecomposition(xs=xs, lambdas=lam)
+    _read_only(w.xs)
     object.__setattr__(rho, "_basis", w)
     return w
 

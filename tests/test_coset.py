@@ -27,7 +27,15 @@ from lsd_toolkit.errors import (
     ResidualCheckFailed,
     ZeroState,
 )
-from lsd_toolkit.qstate import DensityMatrix, lambda_spectrum, sample_random, SIGMA_YY
+from lsd_toolkit.lsd import ls_decompose, verify_optimality
+from lsd_toolkit.qstate import (
+    _outer_sum,
+    DensityMatrix,
+    lambda_spectrum,
+    sample_random,
+    SIGMA_YY,
+)
+from lsd_toolkit.suites import _random_params
 from lsd_toolkit.wootters import concurrence, wootters_basis
 
 E = np.eye(4)
@@ -233,13 +241,25 @@ class TestCosetGenerate:
         target = np.array(p.lambdas) / res.trace_factor
         assert np.max(np.abs(achieved - target)) < 1e-10
 
+    TRAILING_ZEROS = params(lambdas=(0.6, 0.4, 0.0, 0.0), theta=(0.3, 0.2), xi=(0.5, 0.1))
+
     def test_trailing_zero_lambdas(self):
-        res = coset_generate(
-            params(lambdas=(0.6, 0.4, 0.0, 0.0), theta=(0.3, 0.2), xi=(0.5, 0.1))
-        )
-        lam = res.wootters.lambdas
+        lam = coset_generate(self.TRAILING_ZEROS).wootters.lambdas
         assert lam[2] == 0.0
         assert lam[3] == 0.0
+
+    def test_basis_sums_to_its_state(self):
+        # the coordinate-free form of "the basis is a unitary mix of the
+        # state's eigen-ensemble" (Hughston-Jozsa-Wootters)
+        cases = [_random_params(s) for s in range(100)] + [self.TRAILING_ZEROS]
+        for p in cases:
+            res = coset_generate(p)
+            assert np.abs(_outer_sum(res.wootters.xs) - res.rho.m).max() < 1e-12
+
+    def test_generated_states_split_and_certify(self):
+        for s in range(100):
+            res = coset_generate(_random_params(s))
+            assert verify_optimality(res.rho, ls_decompose(res.rho)).verdict, s
 
     def test_zero_state(self):
         with pytest.raises(ZeroState):

@@ -897,7 +897,7 @@ class TestOncePerState:
         assert arr.flags.writeable
         assert rho.m[0, 0] != arr[0, 0]
         w = wootters_basis(rho)
-        for a in (rho.m, w.u, w.lambdas, w.xs):
+        for a in (rho.m, w.lambdas, w.xs):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0

@@ -164,7 +164,7 @@ def _nan_basis(lambdas=None):
     if lambdas is None:
         lambdas = wootters_basis(sample_random(2)).lambdas
     nan = np.full(4, np.nan)
-    return WoottersDecomposition(xs=(nan,) * 4, lambdas=lambdas, u=np.full((4, 4), np.nan))
+    return WoottersDecomposition(xs=(nan,) * 4, lambdas=lambdas)
 
 
 def _nan_split():
@@ -270,7 +270,7 @@ def _bases(lambdas):
     obj = to_json(w)
     obj["lambdas"] = list(lambdas)
     return [
-        lambda: WoottersDecomposition(xs=w.xs, lambdas=np.array(lambdas), u=w.u),
+        lambda: WoottersDecomposition(xs=w.xs, lambdas=np.array(lambdas)),
         lambda: from_json(WoottersDecomposition, obj),
     ]
 
@@ -493,7 +493,7 @@ def _records():
     for rho in states:
         d = ls_decompose(rho)
         rep = verify_optimality(rho, d)
-        out += [d, rep, *rep.pairwise, *rep.structural]
+        out += [wootters_basis(rho), d, rep, *rep.pairwise, *rep.structural]
     out += [
         _random_params(3),
         CosetParams(lambdas=(0.4, 0.3, 0.2, 0.1), theta=(-0.0, 0.0), xi=(0, 0), phi=(0, -0.0)),
@@ -508,6 +508,7 @@ class TestCodecRoundTrip:
         kinds = {type(r).__name__ for r in records}
         assert kinds == {
             "DensityMatrix",
+            "WoottersDecomposition",
             "LSDecomposition",
             "OptimalityReport",
             "PairCheck",
@@ -545,6 +546,7 @@ class TestCodecRoundTrip:
             "structural",
         ]
         assert list(to_json(rho)) == ["matrix"]
+        assert list(to_json(wootters_basis(rho))) == ["xs", "lambdas"]
 
 
 def _malformed_inputs():

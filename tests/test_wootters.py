@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from lsd_toolkit.matcore import takagi
 from lsd_toolkit.qstate import (
     DensityMatrix,
     eigen_ensemble,
+    from_json,
     lambda_spectrum_raw,
     sample_random,
     SIGMA_YY,
@@ -75,14 +79,6 @@ class TestWoottersBasis:
             raw = lambda_spectrum_raw(rho.m)
             assert np.max(np.abs(w.lambdas - raw)) < 1e-9
 
-    def test_u_connects_eigen_ensemble(self):
-        for seed in range(30):
-            rho = sample_random(seed)
-            w = wootters_basis(rho)
-            v = eigen_ensemble(rho).T
-            x = np.column_stack(w.xs)
-            assert np.max(np.abs(v @ w.u.conj().T - x)) < 1e-11
-
     def test_canonical_sign(self):
         # only a sign flip is free per vector, and it is fixed so the
         # largest-modulus component has non-negative real part
@@ -95,7 +91,7 @@ class TestWoottersBasis:
     def test_signs_match_the_per_row_rule(self):
         # the rule wootters_basis applied row by row before it signed all
         # four rows at once, kept as its reference: negation is exact, so
-        # the rows and u agree bit for bit
+        # the rows agree bit for bit
         def sign(x):
             k = int(np.argmax(np.abs(x)))
             c = x[k]
@@ -124,11 +120,8 @@ class TestWoottersBasis:
             for i, x in enumerate(xs):
                 if float(np.max(np.abs(x))) != 0.0 and sign(x) < 0.0:
                     xs[i] = -x
-                    u[i] = -u[i]
                     flips += 1
-            w = wootters_basis(rho)
-            assert np.array_equal(w.xs, xs)
-            assert np.array_equal(w.u, u)
+            assert np.array_equal(wootters_basis(rho).xs, xs)
         assert flips > 0
 
     def test_deterministic(self):
@@ -162,25 +155,43 @@ class TestWoottersDecompositionValidation:
         w = wootters_basis(sample_random(2))
         lam = np.sort(w.lambdas + 0.05)[::-1]
         with pytest.raises(ValueError):
-            WoottersDecomposition(xs=w.xs, lambdas=lam, u=w.u)
-
-    def test_rejects_non_unitary_u(self):
-        w = wootters_basis(sample_random(2))
-        with pytest.raises(ValueError):
-            WoottersDecomposition(xs=w.xs, lambdas=w.lambdas, u=2.0 * w.u)
+            WoottersDecomposition(xs=w.xs, lambdas=lam)
 
     def test_rejects_scaled_vectors(self):
         w = wootters_basis(sample_random(2))
         xs = tuple(1.1 * x for x in w.xs)
         with pytest.raises(ValueError):
-            WoottersDecomposition(xs=xs, lambdas=w.lambdas, u=w.u)
+            WoottersDecomposition(xs=xs, lambdas=w.lambdas)
 
     def test_residual_errors_are_typed(self):
+        # a tilde-orthogonality failure, then a norm-sum failure: the
+        # basis of |00> is |00> and three zero rows, all of whose overlaps
+        # stay exactly zero when it is doubled
         w = wootters_basis(sample_random(2))
-        bad_norms = tuple(x * np.sqrt(1.0 + 1e-6) for x in w.xs)
-        for xs, u in ((w.xs, 2.0 * w.u), (bad_norms, w.u)):
-            with pytest.raises(ResidualCheckFailed):
-                WoottersDecomposition(xs=xs, lambdas=w.lambdas, u=u)
+        product = wootters_basis(pure(E[:, 0]))
+        cases = (
+            (w.xs * np.sqrt(1.0 + 1e-6), w.lambdas, "tilde orthogonality"),
+            (2.0 * product.xs, product.lambdas, "norms sum"),
+        )
+        for xs, lam, message in cases:
+            with pytest.raises(ResidualCheckFailed, match=message):
+                WoottersDecomposition(xs=xs, lambdas=lam)
+
+
+class TestWoottersDecompositionJson:
+    # records written when the JSON form also held "u", a unitary with
+    # xs = conj(u) vs; from_json reads only the fields and drops that key
+    OLD_RECORDS = Path(__file__).parent / "data" / "wootters_records_with_u.json"
+
+    def test_records_with_u_still_decode(self):
+        entries = json.loads(self.OLD_RECORDS.read_text(encoding="utf-8"))
+        assert entries
+        for entry in entries:
+            assert "u" in entry["record"]
+            w = from_json(WoottersDecomposition, entry["record"])
+            expect = wootters_basis(sample_random(entry["seed"], rank=entry["rank"]))
+            assert np.array_equal(w.xs, expect.xs)
+            assert np.array_equal(w.lambdas, expect.lambdas)
 
 
 class TestConcurrence:
