@@ -1,8 +1,8 @@
 """Two-qubit entanglement toolkit.
 
-Concurrence and its basis of tilde-orthogonal vectors, maximal
-separable-plus-pure splits with optimality certificates, and a
-hyperbolic-frame generator for states with prescribed overlap spectra.
+Concurrence and its basis of tilde-orthogonal vectors, separable-plus-pure
+splits on that basis with optimality certificates, and a hyperbolic-frame
+generator for states with prescribed overlap spectra.
 
 __all__ below is the public surface, the one list of it in the package,
 grouped by the object of the paper each name serves.  Module-level names

@@ -66,7 +66,8 @@ def _fmt_scalar(v):
     if v is None:
         return "null"
     if isinstance(v, float):
-        return "%.6f" % v
+        # %g keeps the magnitude of a tolerance or a residual, 1e-08 not 0.000000
+        return "%.6g" % v
     return str(v)
 
 

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
-from .qstate import SIGMA_YY, DensityMatrix, _outer_sum, from_json, to_json
+from .qstate import DensityMatrix, _flip_form, _outer_sum, from_json, to_json
 from .wootters import WoottersDecomposition, _zero_threshold
 
 # real symmetric involution mixing the product basis into magic-like pairs
@@ -29,12 +29,13 @@ O_MAT = np.array(
     ]
 ) / np.sqrt(2.0)
 
-# quarter-phase scaling; SIGMA_YY = O_MAT.T @ ETA**2 @ O_MAT
+# quarter-phase scaling; O_MAT.T @ ETA**2 @ O_MAT is the spin flip sigma_y (x) sigma_y
 ETA = np.diag([1j, 1.0, 1j, 1.0])
 ETA_INV = np.diag([-1j, 1.0, -1j, 1.0])
 
 # the frame change back from the orthogonal picture, X = (O_MAT ETA_INV) Y
 _O_ETA_INV = O_MAT @ ETA_INV
+_FLOAT = np.finfo(float)
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class CosetParams:
     """Six hyperbolic angles plus a target overlap spectrum.
 
     Every entry must be finite.  lambdas must be non-negative and
-    non-increasing; xi must be non-negative.  theta and phi are
-    otherwise unconstrained.
+    non-increasing; xi must be non-negative.  max|theta| + max xi +
+    max|phi| must be at most 350, past which the frame's Gram overflows.
     """
 
     lambdas: Tuple[float, ...]
@@ -68,6 +69,8 @@ class CosetParams:
             raise ValueError("lambdas must be non-increasing")
         if any(x < 0.0 for x in xi):
             raise ValueError("xi angles must be non-negative")
+        if max(map(abs, th)) + max(xi) + max(map(abs, ph)) > 350.0:
+            raise ValueError("max|theta| + max xi + max|phi| exceeds 350")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "xi", xi)
@@ -77,16 +80,10 @@ class CosetParams:
 _NOT_ORTHOGONAL = "matrix not complex orthogonal (%.3e)"
 
 
-def _checked_frame(m, message, form=None):
-    """m as a complex 4x4 copy whose columns are orthonormal under a form.
-
-    The test is max|m^T m - I| <= 1e-9, or max|m^T form m - I| <= 1e-9
-    when a form is given; a larger residual raises ResidualCheckFailed
-    with message % residual.
-    """
-    m = np.array(m, dtype=complex).reshape(4, 4)
-    mt = m.T if form is None else m.T @ form
-    resid = np.abs(mt @ m - np.eye(4)).max()
+def _checked_frame(m, gram, message):
+    """m, once gram, the Gram matrix of its columns under the frame's form,
+    is within 1e-9 of I; else ResidualCheckFailed with message % residual."""
+    resid = np.abs(gram - np.eye(4)).max()
     # written "not resid <= tol" so that a NaN residual fails too
     if not resid <= 1e-9:
         raise ResidualCheckFailed(message % resid)
@@ -96,7 +93,8 @@ def _checked_frame(m, message, form=None):
 def build_x(w):
     """Normalized column frame X, columns x_i / sqrt(lambda_i), of a basis.
 
-    Returns a complex 4x4 array with X^T S X = I, S the spin flip.
+    Returns a complex 4x4 array whose columns have spin-flip overlaps
+    <x_i|xtilde_j> = delta_ij, that is X^T S X = I with S the spin flip.
     Raises RankDeficient when any lambda_i vanishes, since the frame then
     has no normalizable column, and ResidualCheckFailed when the columns
     miss that identity by more than 1e-9.
@@ -105,11 +103,9 @@ def build_x(w):
     cut = _zero_threshold(lam)
     if any(float(x) <= cut for x in lam):
         raise RankDeficient("overlap spectrum has a vanishing entry")
-    return _checked_frame(
-        (w.xs / np.sqrt(lam)[:, None]).T,
-        "columns not orthonormal under the spin-flip form (%.3e)",
-        SIGMA_YY,
-    )
+    rows = w.xs / np.sqrt(lam)[:, None]
+    message = "columns not orthonormal under the spin-flip form (%.3e)"
+    return _checked_frame(rows.T, _flip_form(rows), message)
 
 
 def y_from_x(x):
@@ -118,7 +114,8 @@ def y_from_x(x):
     Returns a complex 4x4 array; ResidualCheckFailed when Y^T Y misses the
     identity by more than 1e-9.
     """
-    return _checked_frame(ETA @ O_MAT @ x, _NOT_ORTHOGONAL)
+    y = ETA @ O_MAT @ x
+    return _checked_frame(y, y.T @ y, _NOT_ORTHOGONAL)
 
 
 def _roth(t):
@@ -147,7 +144,8 @@ def y_factor(params):
     phi = np.zeros((4, 4), dtype=complex)
     phi[:2, :2] = _roth(ph1)
     phi[2:, 2:] = _roth(ph2)
-    return _checked_frame(theta @ xi @ phi, _NOT_ORTHOGONAL)
+    y = theta @ xi @ phi
+    return _checked_frame(y, y.T @ y, _NOT_ORTHOGONAL)
 
 
 CosetResult = namedtuple("CosetResult", ["rho", "wootters", "trace_factor"])
@@ -162,13 +160,18 @@ def coset_generate(params):
 
     The returned decomposition holds the frame's vectors x_i, scaled by
     the same factor, so the |x_i><x_i| sum to the returned state.
-    Raises ZeroState when all lambdas vanish.
+    Raises ZeroState when all lambdas vanish, and ValueError when the
+    trace factor would leave the normal floats, less a factor 2 at the top.
     """
     lam = np.array(params.lambdas, dtype=float)
     if float(lam[0]) <= 0.0:
         raise ZeroState("all target lambdas vanish")
     y = y_factor(params)
     xm = _O_ETA_INV @ y
+    # the trace factor is lam[0] * s, s >= 1 as each column has x^T S x = 1
+    s = float(np.vdot(xm, xm * (lam / lam[0])).real)
+    if not _FLOAT.tiny / s <= lam[0] <= 0.5 * _FLOAT.max / s:
+        raise ValueError("lambda_1 = %.3e puts the trace factor out of range" % lam[0])
     xs_raw = np.sqrt(lam)[:, None] * xm.T
     t = float(sum(np.vdot(x, x).real for x in xs_raw))
     rho = DensityMatrix(_outer_sum(xs_raw) / t)

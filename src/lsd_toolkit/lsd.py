@@ -1,8 +1,8 @@
 """Optimal separable-plus-pure splits of two-qubit states.
 
 A state rho is written as weight * rho_sep + (1 - weight) * |psi><psi|
-with rho_sep separable and the weight maximal in the sense of the
-matching optimality conditions.  The separable part carries a product
+with rho_sep separable, on the Wootters basis (ls_decompose says in
+what sense the weight is maximal).  The separable part carries a product
 ensemble of four zero-concurrence vectors z_alpha.  The certificate
 checks the structural identities of the split, the linear independence
 that makes each Lambda_alpha = <z_alpha|z_alpha> maximal by itself, and
@@ -29,14 +29,13 @@ from .matcore import (
     herm_eig,
 )
 from .qstate import (
-    SIGMA_YY,
     ComplexArray,
     DensityMatrix,
     RealArray,
     _family,
+    _flip_form,
     _outer_sum,
     from_json,
-    spin_flip_vec,
     to_json,
 )
 from .wootters import _concurrence_of, _zero_threshold, wootters_basis
@@ -183,12 +182,16 @@ def _pure_partner():
 
 
 def ls_decompose(rho):
-    """Maximal separable split of a two-qubit state.
+    """Wootters-basis separable split of a two-qubit state.
 
     Separable states return weight 1 with no pure part.  Pure entangled
     states return weight 0 against a canonical boundary state.  Otherwise
     the weight is 1 - (C / lambda_1) <x_1|x_1> with the separable part
-    assembled from the rescaled basis x''.
+    assembled from the rescaled basis x''.  The split saturates
+    (1 - weight) C(psi) = C(rho) and its weight is maximal within its
+    stationary family: the best separable approximation's on
+    Bell-diagonal states, but not on generic rank-3 and full-rank
+    states, where larger separable weights were measured.
     """
     w = wootters_basis(rho)
     lam = w.lambdas
@@ -253,7 +256,7 @@ def average_concurrence(d):
     """
     if d.pure is None:
         raise NoPurePart("separable decomposition has no pure part")
-    ov = np.vdot(d.pure, spin_flip_vec(d.pure))
+    ov = _flip_form(d.pure[None])[0, 0]
     return float((1.0 - d.weight) * abs(ov))
 
 
@@ -296,8 +299,7 @@ def split_invariants(rho, d):
     if d.pure is not None:
         recon = recon + (1.0 - d.weight) * np.outer(d.pure, np.conj(d.pure))
     zsum = _outer_sum(d.zs)
-    flipped = np.conj(d.zs) @ SIGMA_YY
-    zc = max(abs(complex(np.vdot(z, f))) for z, f in zip(d.zs, flipped))
+    zc = np.abs(np.diag(_flip_form(d.zs))).max()
     boundary = None
     if d.rank_class != "separable":
         lpp = d.lambdas_pp
@@ -396,11 +398,13 @@ def _parallel_matrix(zs):
 # families of the entangled classes: the singles, the independent pairs and
 # the pairs tied by z_a + z_b = x''_1, which get the closed-form check.  In
 # the full and rank3 rows every single lies in an independent pair, so the
-# margin reads the pairs alone (see _independence_margin)
+# margin reads the pairs alone (see _independence_margin).  The pure split's
+# fixed partner has z_0 = z_1 and z_2 = z_3, and no pair conditions at weight 0
 _ENTANGLED_FAMILIES = {
     "full": ((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), ()),
     "rank3": ((0, 1, 2, 3), ((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 3), (1, 2))),
     "rank2": ((0, 2), (), ((0, 2),)),
+    "pure": ((0, 2), (), ()),
 }
 
 
@@ -489,7 +493,7 @@ def verify_optimality(rho, d, tol=1e-8):
     RankMismatch when that class differs from the decomposition's) and
     checks the structural identities of the split: reconstruction, the
     weight identity, the ensemble sum, zero concurrence, the boundary,
-    lambdas-pp (x''^T S_YY x'' = diag(lambdas_pp)), ensemble-phases (zs
+    lambdas-pp (<x''_i|x''tilde_j> = lambda''_i delta_ij), ensemble-phases (zs
     rebuilt from xpp and phases) and positivity under partial
     transposition.
 
@@ -547,8 +551,7 @@ def verify_optimality(rho, d, tol=1e-8):
         predicted = 0.0
     else:
         predicted, rest, _ = _optimal_weight(w)
-    overlap = d.xpp @ SIGMA_YY @ d.xpp.T
-    lpp = float(np.abs(overlap - np.diag(d.lambdas_pp)).max())
+    lpp = float(np.abs(_flip_form(d.xpp) - np.diag(d.lambdas_pp)).max())
     rebuilt = float(np.abs(d.zs - _build_zs(d.xpp, d.phases)).max())
     structural = [
         ("reconstruction", inv.reconstruction),
@@ -589,17 +592,8 @@ def verify_optimality(rho, d, tol=1e-8):
         _check_finite(lams)
         if live:
             margin = 1.0
-    elif cls == "pure":
-        anchor = d.pure
-        par = _parallel_matrix(zs)
-        single_idx = []
-        for a in range(4):
-            if not par[a, single_idx].any():
-                single_idx.append(a)
-        groups = [(a,) for a in single_idx]
-        # pairwise conditions are vacuous at weight zero
     else:
-        anchor = x1
+        anchor = d.pure if cls == "pure" else x1
         single_idx, indep, dep = _ENTANGLED_FAMILIES[cls]
         groups = indep or [(a,) for a in single_idx]
     margin = min(margin, _independence_margin(zs, lams, groups, anchor, coeff))

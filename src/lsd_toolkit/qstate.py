@@ -2,7 +2,8 @@
 
 Basis order is |uu>, |ud>, |du>, |dd>.  The spin flip conjugates with
 sigma_y (x) sigma_y, which in this basis is the real antidiagonal
-(-1, 1, 1, -1).  The module also holds the JSON codec of every record in
+(-1, 1, 1, -1); every spin-flip overlap in the package is read from
+_flip_form.  The module also holds the JSON codec of every record in
 the package, to_json and from_json.
 """
 
@@ -12,7 +13,7 @@ from typing import Annotated, Union, get_args, get_origin
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, NotUnitTrace
+from .errors import NotPSD, NotUnitTrace
 from .matcore import herm_eig, support
 
 # field annotations naming an array's entry type, which from_json reads,
@@ -59,12 +60,12 @@ def _outer_sum(vs):
 class DensityMatrix:
     """Validated, immutable 4x4 density matrix.
 
-    Construction copies its input, checks hermiticity and unit trace
-    within 1e-10 and rejects eigenvalues below -1e-10.  The eigenpair of
-    that check is kept on the instance, so the state is eigendecomposed
-    once; wootters_basis keeps its result there too.  Neither is a
-    dataclass field, so to_json and from_json see only m.  m and the
-    kept arrays are read-only.  Like every record that holds arrays, a
+    Construction copies its input and raises, in this order, herm_eig's
+    NotHermitian, NotUnitTrace past 1e-10 and NotPSD below -1e-10.  The
+    eigenpair of that check is kept on the instance, so the state is
+    eigendecomposed once; wootters_basis keeps its result there too.
+    Neither is a dataclass field, so to_json and from_json see only m.
+    m and the kept arrays are read-only.  Like every record that holds arrays, a
     state compares and hashes by identity.
     """
 
@@ -74,15 +75,10 @@ class DensityMatrix:
         arr = np.array(self.m, dtype=complex)
         if arr.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if not np.isfinite(arr).all():
-            raise NotHermitian("matrix has non-finite entries")
-        herm = float(np.abs(arr - arr.conj().T).max())
-        if herm > 1e-10:
-            raise NotHermitian("max|m - m^dag| = %.3e exceeds 1e-10" % herm)
+        w, v = herm_eig(arr)
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > 1e-10:
             raise NotUnitTrace("|trace - 1| = %.3e exceeds 1e-10" % abs(tr - 1.0))
-        w, v = herm_eig(arr)
         if w[-1] < -1e-10:
             raise NotPSD("eigenvalue %.3e below -1e-10" % w[-1])
         _read_only(arr, w, v)
@@ -90,9 +86,11 @@ class DensityMatrix:
         object.__setattr__(self, "_eig", (w, v))
 
 
-def spin_flip_vec(v):
-    """Spin flip of a two-qubit vector: SIGMA_YY @ conj(v)."""
-    return SIGMA_YY @ np.conj(v)
+def _flip_form(rows):
+    """Spin-flip overlaps <r_i|rtilde_j>, rtilde = SIGMA_YY conj(r), of the
+    rows of a family: the complex symmetric conj(rows) SIGMA_YY conj(rows)^T."""
+    rc = np.conj(rows)
+    return rc @ SIGMA_YY @ rc.T
 
 
 def lambda_spectrum_raw(m):
@@ -103,10 +101,10 @@ def lambda_spectrum_raw(m):
     what lets generated states be normalized after the fact.
 
     With m = g g^dag and g = V sqrt(w) from one herm_eig call, the
-    lambdas are the singular values of the complex symmetric
-    g^T SIGMA_YY g, since g^dag mtilde g is its Gram matrix.  One SVD
-    finds them without squaring the condition number, and the route
-    shares no step with the Takagi factorization of wootters_basis.
+    lambdas are the singular values of tau = _flip_form(g^T), since
+    g^dag mtilde g is the Gram matrix of conj(tau).  One SVD finds them
+    without squaring the condition number; wootters_basis
+    Takagi-factorizes the same tau instead.
     Eigenvalues at or below the support cut drop out of g, so a low-rank
     state's trailing lambdas are exact zeros.  herm_eig checks m first:
     a non-finite or non-Hermitian m raises NotHermitian, and an
@@ -118,12 +116,19 @@ def lambda_spectrum_raw(m):
     return _spectrum_of_eig(w, v)
 
 
-def _spectrum_of_eig(w, v):
-    """Lambdas of the PSD matrix with eigenpair (w, v), from g = V sqrt(w)."""
+def _ensemble_rows(w, v):
+    """Rows sqrt(mu_i) v_i of the eigenpair (w, v) over the support cut,
+    which keeps the first len(result) of the descending w."""
     keep = support(w)
-    g = v[:, keep] * np.sqrt(w[keep])
+    return np.sqrt(w[keep])[:, None] * v[:, keep].T
+
+
+def _spectrum_of_eig(w, v):
+    """Lambdas of the PSD matrix with eigenpair (w, v): the singular values
+    of the spin-flip overlaps of its eigen-ensemble."""
+    rows = _ensemble_rows(w, v)
     lam = np.zeros(w.size)
-    lam[: g.shape[1]] = np.linalg.svd(g.T @ SIGMA_YY @ g, compute_uv=False)
+    lam[: len(rows)] = np.linalg.svd(_flip_form(rows), compute_uv=False)
     return lam
 
 
@@ -146,10 +151,9 @@ def eigen_ensemble(rho):
     times the largest, produce exact zero rows, so later stages can rely
     on rank-deficient vectors being identically zero.
     """
-    w, v = rho._eig
-    keep = support(w)
+    rows = _ensemble_rows(*rho._eig)
     vs = np.zeros((4, 4), dtype=complex)
-    vs[keep] = np.sqrt(w[keep])[:, None] * v[:, keep].T
+    vs[: len(rows)] = rows
     return vs
 
 

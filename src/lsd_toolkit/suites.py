@@ -26,8 +26,8 @@ from .coset import (
 from .lsd import average_concurrence, ls_decompose, verify_optimality
 from .matcore import _checked_tol
 from .qstate import (
-    SIGMA_YY,
     DensityMatrix,
+    _flip_form,
     _outer_sum,
     lambda_spectrum,
     lambda_spectrum_raw,
@@ -101,14 +101,12 @@ def run_wootters_suite(n=200, seed=0, tol=None):
         lam = lambda_spectrum(rho)
         w = wootters_basis(rho)
         c_spec = _concurrence_of(lam)
-        c_basis = max(0.0, float(w.lambdas[0] - np.sum(w.lambdas[1:])))
+        c_basis = _concurrence_of(w.lambdas)
         two_routes.add(s, abs(c_spec - c_basis))
 
         recon.add(s, np.max(np.abs(_outer_sum(w.xs) - rho.m)))
 
-        xc = np.conj(w.xs)
-        overlap = xc @ SIGMA_YY @ xc.T
-        ortho.add(s, np.max(np.abs(overlap - np.diag(w.lambdas))))
+        ortho.add(s, np.max(np.abs(_flip_form(w.xs) - np.diag(w.lambdas))))
 
         norms.add(s, abs(sum(float(np.vdot(x, x).real) for x in w.xs) - 1.0))
 
@@ -205,7 +203,7 @@ def run_coset_suite(n=200, seed=0, tol=None):
 
         x = build_x(res.wootters)
         roundtrip.add(s, np.max(np.abs(y_from_x(x) - y)))
-        flip_form.add(s, np.max(np.abs(x.T @ SIGMA_YY @ x - np.eye(4))))
+        flip_form.add(s, np.max(np.abs(_flip_form(x.T) - np.eye(4))))
 
         rng = np.random.default_rng(10_000_000 + s)
         u1, u2 = haar_su2(rng), haar_su2(rng)

@@ -13,10 +13,10 @@ import numpy as np
 from .errors import NotNormalized, ResidualCheckFailed
 from .matcore import herm_eig, takagi
 from .qstate import (
-    SIGMA_YY,
     ComplexArray,
     RealArray,
     _family,
+    _flip_form,
     _read_only,
     eigen_ensemble,
     lambda_spectrum,
@@ -38,8 +38,7 @@ class TauMatrix:
 
 def tau_matrix(vs):
     """Spin-flip overlap matrix of an eigen-ensemble, its (4, 4) row array vs."""
-    vc = np.conj(vs)
-    return TauMatrix(tau=vc @ SIGMA_YY @ vc.T)
+    return TauMatrix(tau=_flip_form(vs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +68,7 @@ class WoottersDecomposition:
         lam = np.clip(lam, 0.0, None)
         _read_only(lam)
         xs = _family(self.xs, "x")
-        xc = np.conj(xs)
-        overlap = xc @ SIGMA_YY @ xc.T
-        res = float(np.abs(overlap - np.diag(lam)).max())
+        res = float(np.abs(_flip_form(xs) - np.diag(lam)).max())
         # written "not res <= tol" so that a NaN residual fails too
         if not res <= 1e-9:
             raise ResidualCheckFailed(

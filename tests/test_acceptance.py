@@ -28,7 +28,6 @@ from lsd_toolkit.qstate import (
     lambda_spectrum_raw,
     sample_random,
     SIGMA_YY,
-    spin_flip_vec,
 )
 from lsd_toolkit.wootters import concurrence, wootters_basis
 
@@ -126,7 +125,7 @@ def test_optimal_split_invariants(volume_suite):
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - rho.m))))
         assert ppt_check(d.sep).separable
         for z in d.zs:
-            worst_zero = max(worst_zero, abs(np.vdot(z, spin_flip_vec(z))))
+            worst_zero = max(worst_zero, abs(np.vdot(z, SIGMA_YY @ np.conj(z))))
         if d.pure is not None:
             checked += 1
             lam = wootters_basis(d.sep).lambdas
@@ -152,7 +151,7 @@ def test_weighted_pure_concurrence_identity(volume_suite):
         checked += 1
         lam = w.lambdas
         c_raw = lam[0] - lam[1] - lam[2] - lam[3]
-        val = (1.0 - d.weight) * abs(np.vdot(d.pure, spin_flip_vec(d.pure)))
+        val = (1.0 - d.weight) * abs(np.vdot(d.pure, SIGMA_YY @ np.conj(d.pure)))
         worst = max(worst, abs(val - c_raw))
     assert checked > 0
     assert worst <= 1e-9

@@ -71,9 +71,12 @@ class TestAnalyze:
         assert obj["input"]["path"] == "<stdin>"
 
     def test_text_format(self, werner_file, capsys):
-        assert main(["analyze", "--input", werner_file, "--format", "text"]) == 0
-        text = capsys.readouterr().out
-        assert "concurrence: 0.250000" in text
+        argv = ["analyze", "--input", werner_file, "--certify", "--format", "text"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "concurrence: 0.25" in lines
+        # six significant digits, so a tolerance keeps its magnitude
+        assert "      tol: 1e-08" in lines
 
     def test_one_spectrum_per_run(self, state_file, tmp_path, monkeypatch):
         # both spectrum routes end in _spectrum_of_eig
@@ -277,6 +280,21 @@ class TestGenerate:
         assert 2 not in generated + analyzed, capsys.readouterr().err
         # a squeezed state gets a certified split or a typed error
         assert 4 not in analyzed
+
+    @pytest.mark.parametrize(
+        "lambdas, angles, named",
+        [
+            ("0.4,0.3,0.2,0.1", ["--xi", "400,0"], "max xi"),
+            ("1e-320,0,0,0", [], "trace factor"),
+            ("1e308,1e308,0,0", [], "trace factor"),
+        ],
+    )
+    def test_overflowing_parameters_exit_two(self, lambdas, angles, named, capsys):
+        # the frame or the trace factor would leave the float range; the
+        # error comes first, so no RuntimeWarning (an error here) is raised
+        argv = ["generate", "--lambdas", lambdas, *angles, "--output", "/dev/null"]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
 
     def test_failed_residual_check_exits_three(self, capsys):
         # the absolute 1e-9 orthogonality check of y_factor fails on rounding

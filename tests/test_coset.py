@@ -265,6 +265,19 @@ class TestCosetGenerate:
         with pytest.raises(ZeroState):
             coset_generate(params(lambdas=(0.0, 0.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize(
+        "lambdas", [(1e-320, 0.0, 0.0, 0.0), (1e308, 1e308, 0.0, 0.0), (5e307,) * 4]
+    )
+    def test_trace_factor_outside_the_float_range(self, lambdas):
+        # raised before the trace factor is formed, so with no RuntimeWarning
+        with pytest.raises(ValueError, match="trace factor"):
+            coset_generate(params(lambdas=lambdas))
+
+    @pytest.mark.parametrize("lam0", [2.3e-308, 4e307])
+    def test_trace_factor_at_the_float_range_ends(self, lam0):
+        res = coset_generate(params(lambdas=(lam0, 0.0, 0.0, 0.0)))
+        assert np.abs(lambda_spectrum(res.rho) - [1.0, 0.0, 0.0, 0.0]).max() < 1e-15
+
 
 class TestCosetParamsValidation:
     def test_rejects_negative_lambda(self):
@@ -292,6 +305,21 @@ class TestCosetParamsValidation:
         kw[field][0] = bad
         with pytest.raises(ValueError, match="finite"):
             CosetParams(**kw)
+
+    @pytest.mark.parametrize(
+        "theta, xi, phi",
+        [((0, 0), (400, 0), (0, 0)), ((-200, 0), (0, 0), (0, 150.5)), ((0, 0), (0, 0), (0, -351))],
+    )
+    def test_rejects_angles_that_overflow_the_frame(self, theta, xi, phi):
+        with pytest.raises(ValueError, match="exceeds 350"):
+            params(theta=theta, xi=xi, phi=phi)
+
+    def test_frame_at_the_angle_bound_stays_finite(self):
+        # entries near exp(350) and a Gram matrix near exp(700): the frame
+        # test fails on a finite residual, with no RuntimeWarning
+        p = params(theta=(100, -100), xi=(150, 150), phi=(-100, 100))
+        with pytest.raises(ResidualCheckFailed, match=r"\(1\.000e\+00\)"):
+            coset_generate(p)
 
     def test_rejects_non_finite_from_json(self):
         obj = json.loads(

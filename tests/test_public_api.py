@@ -208,3 +208,27 @@ def test_unused_definition_guard_reads_code_not_text():
     sources["matcore.py"] += '\n\ndef _orphan(x):\n    """_orphan(x)"""\n    return _orphan\n'
     sources["lsd.py"] = '"""Uses _orphan."""\nfrom .matcore import _orphan\n' + sources["lsd.py"]
     assert _unused_definitions(sources) == ["matcore.py:_orphan"]
+
+
+def _modules_naming(sources, name):
+    """File names of sources whose code, not text, names name: as a
+    variable, an attribute or an import."""
+    return sorted(
+        file
+        for file, text in sources.items()
+        if any(
+            getattr(node, attr, None) == name
+            for node in ast.walk(ast.parse(text))
+            for attr in ("id", "attr", "name")
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        )
+    )
+
+
+def test_only_qstate_reads_the_spin_flip_matrix():
+    # every spin-flip overlap in the package goes through qstate._flip_form
+    sources = _package_sources()
+    assert _modules_naming(sources, "SIGMA_YY") == ["qstate.py"]
+    # the check is not vacuous: an import elsewhere is found
+    sources["lsd.py"] = '"""SIGMA_YY"""\nfrom .qstate import SIGMA_YY\n' + sources["lsd.py"]
+    assert _modules_naming(sources, "SIGMA_YY") == ["lsd.py", "qstate.py"]

@@ -26,8 +26,8 @@ from lsd_toolkit.qstate import (
     lambda_spectrum,
     lambda_spectrum_raw,
     sample_random,
+    _flip_form,
     _outer_sum,
-    spin_flip_vec,
     to_json,
 )
 from lsd_toolkit.matcore import SUPPORT_EPS
@@ -130,6 +130,17 @@ class TestDensityMatrix:
         with pytest.raises(NotPSD):
             DensityMatrix(np.diag([0.7, 0.5, -0.1, -0.1]))
 
+    def test_error_order(self):
+        # each input fails its own test and every later one: hermiticity,
+        # then unit trace, then positivity
+        indefinite = np.diag([1.4, 1.0, -0.2, -0.2]).astype(complex)
+        skewed = indefinite.copy()
+        skewed[0, 1] = 0.3
+        with pytest.raises(NotHermitian):
+            DensityMatrix(skewed)
+        with pytest.raises(NotUnitTrace):
+            DensityMatrix(indefinite)
+
     def test_frozen(self):
         rho = DensityMatrix(np.eye(4) / 4.0)
         with pytest.raises(Exception):
@@ -204,8 +215,8 @@ class TestRecordsRejectNaN:
 
 
 def _tilde(x):
-    """<x|xtilde>."""
-    return np.vdot(x, spin_flip_vec(x))
+    """<x|xtilde>, with xtilde = SIGMA_YY conj(x) written out."""
+    return np.vdot(x, SIGMA_YY @ np.conj(x))
 
 
 class TestVectorFamilies:
@@ -243,24 +254,28 @@ class TestVectorFamilies:
 
 
 class TestSpinFlip:
+    """_flip_form, the one spin-flip form that every overlap in the package,
+    from tau to the certificate's checks, is read from."""
+
     def test_bell_overlap_signs(self):
-        # <psi|psitilde> is -1, +1, -1, +1 on the four Bell vectors
-        signs = [-1.0, 1.0, -1.0, 1.0]
-        for b, sgn in zip([PHI_P, PSI_P, PSI_M, PHI_M], signs):
-            assert abs(np.vdot(b, spin_flip_vec(b)) - sgn) < 1e-14
+        # <b_i|btilde_j> is diag(-1, +1, -1, +1) on the four Bell vectors
+        bells = np.array([PHI_P, PSI_P, PSI_M, PHI_M])
+        assert np.abs(_flip_form(bells) - np.diag([-1.0, 1.0, -1.0, 1.0])).max() < 1e-14
 
     def test_overlap_is_twice_the_determinant(self):
         # <psi|psitilde> = -2 conj(ad - bc) for psi = (a, b, c, d), whose
-        # modulus is the concurrence 2|ad - bc|; complex entries make the
+        # modulus is the concurrence 2|ad - bc|; off the diagonal it is
+        # -conj(a d' + d a' - b c' - c b').  Complex entries make each
         # conjugate count, unlike the real Bell vectors
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            psi = psi / np.linalg.norm(psi)
-            a, b, c, d = psi
-            ov = np.vdot(psi, spin_flip_vec(psi))
-            assert abs(ov + 2.0 * np.conj(a * d - b * c)) < 1e-14
-            assert abs(abs(ov) - 2.0 * abs(a * d - b * c)) < 1e-14
+        psi = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
+        psi = psi / np.linalg.norm(psi, axis=1)[:, None]
+        a, b, c, d = psi.T
+        pol = np.outer(a, d) + np.outer(d, a) - np.outer(b, c) - np.outer(c, b)
+        ov = _flip_form(psi)
+        assert np.abs(ov + np.conj(pol)).max() < 1e-14
+        assert np.abs(np.diag(ov) + 2.0 * np.conj(a * d - b * c)).max() < 1e-14
+        assert np.abs(np.abs(np.diag(ov)) - 2.0 * np.abs(a * d - b * c)).max() < 1e-14
 
 
 def _bases(lambdas):
