@@ -26,7 +26,7 @@ from .matcore import (
     _checked_svd,
     _checked_tol,
     _dual_basis,
-    herm_eig,
+    _eigh_desc,
 )
 from .qstate import (
     ComplexArray,
@@ -120,15 +120,17 @@ def _build_zs(xpp, phases):
 def _optimal_weight(w):
     """Optimal separable weight of an entangled state from its basis w.
 
-    Returns 1 - (C / lambda_1) <x_1|x_1>, the spectrum with entries at or
-    below the zero threshold set to 0, and the sum of its last three.
+    Returns 1 - (C / lambda_1) <x_1|x_1>, the spectrum as Python floats
+    with entries at or below the zero threshold set to 0, and the sum of
+    its last three.
     """
-    lam = w.lambdas
-    c = float(lam[0] - lam[1] - lam[2] - lam[3])
+    lam = w.lambdas.tolist()
+    c = lam[0] - lam[1] - lam[2] - lam[3]
     x1 = w.xs[0]
-    weight = 1.0 - (c / float(lam[0])) * float(np.vdot(x1, x1).real)
-    lam_cls = np.where(lam > _zero_threshold(lam), lam, 0.0)
-    return weight, float(lam_cls[1] + lam_cls[2] + lam_cls[3]), lam_cls
+    weight = 1.0 - (c / lam[0]) * float(np.vdot(x1, x1).real)
+    thr = _zero_threshold(lam)
+    lam_cls = [x if x > thr else 0.0 for x in lam]
+    return weight, lam_cls[1] + lam_cls[2] + lam_cls[3], lam_cls
 
 
 def _classify(rho, lam):
@@ -140,7 +142,7 @@ def _classify(rho, lam):
     thr = _zero_threshold(lam)
     if _concurrence_of(lam) <= thr:
         return "separable"
-    nzero = int(np.sum(lam <= thr))
+    nzero = sum(x <= thr for x in lam.tolist())
     if nzero == 3:
         mu, _ = rho._eig
         if mu[1] <= 1e-10:
@@ -315,18 +317,17 @@ def split_invariants(rho, d):
 PptResult = namedtuple("PptResult", ["separable", "min_pt_eigenvalue"])
 
 
-def _partial_transpose(m):
-    # transpose the second qubit factor
-    return np.array(m).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
 def ppt_check(rho):
     """Positivity of the partial transpose, the two-qubit separability test.
 
     Returns (separable, min_pt_eigenvalue); separable is True when the
-    smallest eigenvalue of the partial transpose is >= -1e-10.
+    smallest eigenvalue of the partial transpose is >= -1e-10.  rho was
+    checked when it was built, so its symmetrized partial transpose goes
+    to _eigh_desc unchecked.
     """
-    w, _ = herm_eig(_partial_transpose(rho.m))
+    # transpose the second qubit factor
+    pt = rho.m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    w, _ = _eigh_desc(-((pt + pt.conj().T) / 2.0))
     mn = float(w[-1])
     return PptResult(separable=bool(mn >= -1e-10), min_pt_eigenvalue=mn)
 
@@ -411,8 +412,9 @@ _ENTANGLED_FAMILIES = {
 def _independence_margin(zs, lams, groups, anchor, coeff):
     """Smallest s_min / s_max over the families (z_a for a in group, then anchor).
 
-    The groups have one size and take one batched SVD; no groups give
-    inf.  The coefficients diag(Lambda_a ..., coeff) are tested by their
+    The groups have one size and fill one stack, vectors as columns and
+    the anchor last, for one batched SVD; no groups give inf.  The
+    coefficients diag(Lambda_a ..., coeff) are tested by their
     magnitudes, the singular values of a diagonal, as Python floats.
 
     The caller passes only the families that can decide the margin and
@@ -427,12 +429,14 @@ def _independence_margin(zs, lams, groups, anchor, coeff):
     if not groups:
         return math.inf
     idx = np.array(groups)
-    fams = zs[idx]
+    k = idx.shape[1]
+    fams = np.empty((len(idx), 4, k if anchor is None else k + 1), dtype=complex)
+    fams[:, :, :k] = zs[idx].swapaxes(1, 2)
     tail = []
     if anchor is not None:
-        fams = np.concatenate([fams, np.broadcast_to(anchor, (len(idx), 1, 4))], axis=1)
+        fams[:, :, k] = anchor
         tail = [abs(coeff)]
-    _, s, _ = _checked_svd(fams.swapaxes(1, 2), *_DEPENDENT)
+    _, s, _ = _checked_svd(fams, *_DEPENDENT)
     _check_condition([[abs(lams[a]) for a in g] + tail for g in groups], *_SINGULAR)
     return float((s[:, -1] / s[:, 0]).min())
 
@@ -446,8 +450,11 @@ def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
     pair's dual frame, so <z_i|M^-1|z_j> = (A^-1)_ij.  The closed form
     predicts the inverse of diag(lam_a, lam_b) + g * ones(2, 2), whose
     determinant normalizer is Gamma = lam_a lam_b + (lam_a + lam_b) g.
-    The measured inverses come from one batched SVD of the blocks, and
-    the weights are then reproduced from the measured elements alone.
+    One batched SVD of the blocks gives the measured inverses, and all
+    pairs' residuals to the predicted ones are taken at once.  The
+    weights are then reproduced from the measured elements alone, as
+    Python floats: numpy's array abs and square can differ from the
+    scalar hypot and pow in the last bit.
     """
     ia, ib = np.array(pairs).T
     dual = _dual_basis(np.stack([zs[ia], zs[ib]], axis=2))
@@ -456,31 +463,34 @@ def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
     blocks[:, 0, 0] += np.array(lams)[ia]
     blocks[:, 1, 1] += np.array(lams)[ib]
     u, s, vh = _checked_svd(blocks, *_SINGULAR)
-    e_all = (vh.conj().swapaxes(1, 2) / s[:, None, :]) @ u.conj().swapaxes(1, 2)
+    e_meas = (vh.conj().swapaxes(1, 2) / s[:, None, :]) @ u.conj().swapaxes(1, 2)
+    e_meas = e_meas.reshape(-1, 4)
+    gamma = [lams[a] * lams[b] + (lams[a] + lams[b]) * g for a, b in pairs]
+    # the predicted inverses, flattened, divided as complex numbers in one call
+    pred = [[lams[b] + g, -g, -g, lams[a] + g] for a, b in pairs]
+    e_pred = np.array(pred, dtype=complex) / np.array(gamma)[:, None]
+    res_mat = np.abs(e_meas - e_pred).max(axis=1)
+    rows = zip(pairs, gamma, res_mat.tolist(), e_meas.tolist())
     out = []
-    for (a, b), e_meas in zip(pairs, e_all):
+    for (a, b), gam, res, (e00, e01, _, e11) in rows:
         lam_a, lam_b = lams[a], lams[b]
-        gamma = lam_a * lam_b + (lam_a + lam_b) * g
-        e_pred = (
-            np.array([[lam_b + g, -g], [-g, lam_a + g]], dtype=complex) / gamma
-        )
-        res_mat = float(np.abs(e_meas - e_pred).max())
-        det = e_meas[0, 0].real * e_meas[1, 1].real - abs(e_meas[0, 1]) ** 2
-        rep_a = (e_meas[1, 1].real - abs(e_meas[0, 1])) / det
-        rep_b = (e_meas[0, 0].real - abs(e_meas[0, 1])) / det
+        d00, d11, off = e00.real, e11.real, abs(e01)
+        det = d00 * d11 - off**2
+        rep_a = (d11 - off) / det
+        rep_b = (d00 - off) / det
         out.append(
             PairCheck(
                 alpha=a,
                 beta=b,
                 lam_a=lam_a,
                 lam_b=lam_b,
-                cross=complex(e_meas[0, 1]),
-                diag_a=1.0 / e_meas[0, 0].real,
-                diag_b=1.0 / e_meas[1, 1].real,
-                gamma=float(gamma),
-                reproduced_a=float(rep_a),
-                reproduced_b=float(rep_b),
-                residual=max(res_mat, abs(rep_a - lam_a), abs(rep_b - lam_b)),
+                cross=e01,
+                diag_a=1.0 / d00,
+                diag_b=1.0 / d11,
+                gamma=gam,
+                reproduced_a=rep_a,
+                reproduced_b=rep_b,
+                residual=max(res, abs(rep_a - lam_a), abs(rep_b - lam_b)),
             )
         )
     return out

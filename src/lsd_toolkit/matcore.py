@@ -4,8 +4,11 @@ A Hermitian eigendecomposition (np.linalg.eigh behind finiteness and
 hermiticity checks), Takagi factorization of complex symmetric
 matrices, and the checked SVD and dual basis of the optimality
 certificate.  Everything is sized for the 2x2 and 4x4 matrices used
-elsewhere in the package.  Every eigenpair in the package comes from
-herm_eig, and takagi takes one of them, of a real embedding of tau.
+elsewhere in the package.  Each input is checked once, where it enters:
+herm_eig and takagi raise NotHermitian on an entry that is not finite
+or above MAX_ENTRY, so no sum they form overflows.  Every eigenpair
+comes from _eigh_desc, which checks nothing: herm_eig calls it after its
+checks, takagi and ppt_check on matrices Hermitian by construction.
 _checked_svd and _dual_basis take stacks only, (K, n, k), and run one
 batched SVD of the stack itself, which also gives the conditioning it
 is tested on, through the one condition test _check_condition.  No Gram
@@ -34,6 +37,10 @@ from .errors import (
 # measured on 80 000 random rank-1 to rank-3 states and 20 000 low-rank tau
 SUPPORT_EPS = 8.0 * np.finfo(float).eps
 
+# largest entry magnitude herm_eig and takagi accept, far enough below the
+# largest float that h + h^dag and takagi's 2n x 2n embedding stay finite
+MAX_ENTRY = 2.0**1000
+
 
 def _checked_tol(tol):
     """tol as a float; ValueError unless it is a finite number >= 0.
@@ -56,27 +63,32 @@ def herm_eig(h):
     real.  The order inside a degenerate cluster is LAPACK's, which keeps
     the order of a diagonal input.
 
-    Raises NotHermitian when an entry is not finite, or when
-    max|h - h^dag| exceeds 1e-10 relative to the larger of 1 and the
-    largest entry magnitude.
+    Raises NotHermitian when an entry is not finite or its magnitude
+    exceeds MAX_ENTRY, or when max|h - h^dag| exceeds 1e-10 relative to
+    the larger of 1 and the largest entry magnitude.
     """
     a = np.asarray(h)
-    a = a.astype(complex if np.iscomplexobj(a) else float)
+    # no copy: nothing below writes to a
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("herm_eig expects a square matrix")
     if a.shape[0] == 0:
         return np.zeros(0), a
     # checked first: the residual test below lets non-finite input through,
     # since NaN compares False and a diagonal inf*1j gives res = scale = inf
-    _check_finite(a)
+    top = _checked_top(a)
     ah = a.conj().T
     res = np.abs(a - ah).max()
-    # the bound is at least 1e-10, so only a larger residual needs the scale
-    if res > 1e-10:
-        bound = 1e-10 * max(1.0, np.abs(a).max())
-        if res > bound:
-            raise NotHermitian("max|h - h^dag| = %.3e exceeds %.3e" % (res, bound))
-    w, v = np.linalg.eigh(-((a + ah) / 2.0))
+    bound = 1e-10 * max(1.0, top)
+    if res > bound:
+        raise NotHermitian("max|h - h^dag| = %.3e exceeds %.3e" % (res, bound))
+    return _eigh_desc(-((a + ah) / 2.0))
+
+
+def _eigh_desc(neg):
+    """Descending eigenpair (w, v) of -neg, for an exactly Hermitian neg
+    built from checked data: the package's one np.linalg.eigh call."""
+    w, v = np.linalg.eigh(neg)
     # 0.0 - w, unlike -w, turns an exact zero eigenvalue into +0.0
     return 0.0 - w, v
 
@@ -100,19 +112,34 @@ def _check_finite(a):
         raise NotHermitian("matrix has non-finite entries")
 
 
-def _real_embedding(t):
-    """kron(Re t, sigma_z) + kron(Im t, sigma_x), by strided assignment.
+def _checked_top(a):
+    """Largest entry magnitude of a non-empty matrix, as a float; raises
+    NotHermitian when it is not finite or exceeds MAX_ENTRY."""
+    top = float(np.abs(a).max())
+    # written "not top <= bound" so that a NaN entry fails too
+    if not top <= MAX_ENTRY:
+        # a complex entry with finite parts can still have an infinite |z|
+        if top < math.inf or np.isfinite(a).all():
+            raise NotHermitian("entry magnitude %.3e exceeds 2**1000" % top)
+        raise NotHermitian("matrix has non-finite entries")
+    return top
 
-    Each quarter keeps the kron sum's arithmetic, re * sz + im * sx with
+
+# sigma_z and sigma_x as (2, 1, 2) blocks of an (n, 2, n, 2) embedding
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])[:, None, :]
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])[:, None, :]
+
+
+def _real_embedding(t):
+    """kron(Re t, sigma_z) + kron(Im t, sigma_x), as one broadcast product.
+
+    Each entry keeps the kron sum's arithmetic, re * sz + im * sx with
     the zero products in place, so that its signed zeros, which LAPACK's
     reflectors read, are the kron sum's too.
     """
-    re, im = t.real, t.imag
-    e = np.empty((2 * t.shape[0], 2 * t.shape[1]))
-    e[0::2, 0::2] = re + im * 0.0
-    e[0::2, 1::2] = e[1::2, 0::2] = re * 0.0 + im
-    e[1::2, 1::2] = re * -1.0 + im * 0.0
-    return e
+    n = t.shape[0]
+    re, im = t.real[:, None, :, None], t.imag[:, None, :, None]
+    return (re * _SIGMA_Z + im * _SIGMA_X).reshape(2 * n, 2 * n)
 
 
 def takagi(tau):
@@ -120,9 +147,10 @@ def takagi(tau):
 
     Returns the tuple (u, lambdas), as herm_eig returns (w, v): a unitary
     u and descending non-negative lambdas with u @ tau @ u.T =
-    diag(lambdas).  Both come from one herm_eig call on the real
-    interleaved embedding E = kron(Re tau, sigma_z) + kron(Im tau,
-    sigma_x) (Horn & Johnson, Matrix Analysis, 2nd ed., Cor. 4.4.4).
+    diag(lambdas).  Both come from one _eigh_desc call, unchecked, on the
+    exactly symmetric real embedding E = kron(Re tau, sigma_z) + kron(Im
+    tau, sigma_x) of the checked tau (Horn & Johnson, Matrix Analysis,
+    2nd ed., Cor. 4.4.4).
     E [x; y] = s [x; y] is tau conj(x + iy) = s (x + iy), and i(x + iy)
     belongs to -s, so the spectrum of E is +-lambdas.  The top n
     eigenvectors of E are the rows of conj(u): inside a cluster of equal
@@ -136,23 +164,22 @@ def takagi(tau):
     so those rows of u come from a QR completion of the others instead:
     tau conj(v) = 0 for every v orthogonal to the range of tau.
 
-    Raises NotHermitian when an entry is not finite, and NotSymmetric
-    when max|tau - tau.T| exceeds 1e-10 relative to the larger of 1 and
-    the largest entry magnitude.
+    Raises NotHermitian when an entry is not finite or its magnitude
+    exceeds MAX_ENTRY, and NotSymmetric when max|tau - tau.T| exceeds
+    1e-10 relative to the larger of 1 and the largest entry magnitude.
     """
     t = np.array(tau, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("takagi expects a square matrix")
     n = t.shape[0]
-    top = float(np.abs(t).max()) if n else 0.0
+    if n == 0:
+        return t, np.zeros(0)
     # checked first: t - t.T on a non-finite entry warns and compares False
-    if not math.isfinite(top):
-        raise NotHermitian("matrix has non-finite entries")
-    scale = max(1.0, top)
-    res = float(np.abs(t - t.T).max()) if n else 0.0
+    scale = max(1.0, _checked_top(t))
+    res = float(np.abs(t - t.T).max())
     if res > 1e-10 * scale:
         raise NotSymmetric("max|tau - tau.T| = %.3e exceeds %.3e" % (res, 1e-10 * scale))
-    s, z = herm_eig(_real_embedding((t + t.T) / 2.0))
+    s, z = _eigh_desc(-_real_embedding((t + t.T) / 2.0))
     v = z[0::2, :n] + 1j * z[1::2, :n]
     keep = support(s[:n])
     lam = np.where(keep, s[:n], 0.0)
@@ -176,9 +203,10 @@ def _check_condition(rows, error, message, power):
 
     rows holds Python floats, one row per family or block: its
     non-negative singular values, in any order.  A row with max 0 has
-    ratio 0.
+    ratio 0.  The rows come from checked data, but an SVD or a product
+    of it can still overflow, so their finiteness is tested here.
     """
-    if not all(math.isfinite(x) for row in rows for x in row):
+    if not all(all(map(math.isfinite, row)) for row in rows):
         raise NotHermitian("matrix has non-finite entries")
     for row in rows:
         top = max(row)

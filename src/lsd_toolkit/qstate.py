@@ -107,8 +107,9 @@ def lambda_spectrum_raw(m):
     Takagi-factorizes the same tau instead.
     Eigenvalues at or below the support cut drop out of g, so a low-rank
     state's trailing lambdas are exact zeros.  herm_eig checks m first:
-    a non-finite or non-Hermitian m raises NotHermitian, and an
-    eigenvalue below -1e-10 raises NotPSD.
+    an m that is not Hermitian or has an entry that is not finite or
+    above 2**1000 raises NotHermitian, and an eigenvalue below -1e-10
+    raises NotPSD.
     """
     w, v = herm_eig(m)
     if w[-1] < -1e-10:

@@ -61,11 +61,13 @@ class WoottersDecomposition:
         lam = np.array(self.lambdas, dtype=float)
         if lam.shape != (4,):
             raise ValueError("lambda spectrum must have four entries")
-        if not np.isfinite(lam).all():
+        # four entries are tested faster as Python floats than as an array
+        vals = lam.tolist()
+        if not all(map(math.isfinite, vals)):
             raise ValueError("lambda spectrum must be finite")
-        if (lam < -1e-12).any() or (lam[:-1] < lam[1:] - 1e-12).any():
+        if min(vals) < -1e-12 or any(a < b - 1e-12 for a, b in zip(vals, vals[1:])):
             raise ValueError("lambda spectrum must be non-negative and descending")
-        lam = np.clip(lam, 0.0, None)
+        lam = np.array([x if x > 0.0 else 0.0 for x in vals])
         _read_only(lam)
         xs = _family(self.xs, "x")
         res = float(np.abs(_flip_form(xs) - np.diag(lam)).max())
@@ -104,7 +106,7 @@ def wootters_basis(rho):
     if cached is not None:
         return cached
     vs = eigen_ensemble(rho)
-    u, lam = takagi(tau_matrix(vs).tau)
+    u, lam = takagi(_flip_form(vs))
     xs = np.conj(u) @ vs
     mods = np.abs(xs)
     rows = np.arange(4)
@@ -132,7 +134,8 @@ def _zero_threshold(lam):
 
 
 def _concurrence_of(lam):
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    l1, l2, l3, l4 = lam.tolist()
+    return max(0.0, l1 - l2 - l3 - l4)
 
 
 def concurrence(rho):

@@ -369,6 +369,22 @@ class TestErrorPaths:
         assert main(["analyze", "--input", str(bad), "--output", "/dev/null"]) == 3
         assert "NotHermitian" in capsys.readouterr().err
 
+    # without the entry bound these give an all-NaN eigenpair ("norms sum
+    # to 0", exit 3 from the basis) or numpy's LinAlgError (exit 2)
+    @pytest.mark.parametrize(
+        "m",
+        [np.diag([1e308, -1e308, 0.0, 1.0]), np.full((4, 4), 1e308)],
+        ids=["diag", "full"],
+    )
+    def test_huge_entries_exit_three(self, tmp_path, capsys, m):
+        rows = [[[x, 0.0] for x in row] for row in m.tolist()]
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"matrix": rows}))
+        argv = ["analyze", "--input", str(bad), "--output", "/dev/null", "--certify"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "NotHermitian: entry magnitude 1.000e+308 exceeds 2**1000" in err
+
     @pytest.mark.parametrize("entry", [[0.25], [0.25, 0.0, 1.0]])
     def test_malformed_complex_entry_exits_two(self, tmp_path, capsys, entry):
         obj = density_to_json(sample_random(1))

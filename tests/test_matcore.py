@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,15 @@ from lsd_toolkit import matcore
 from lsd_toolkit.matcore import (
     _DEPENDENT,
     _SINGULAR,
+    MAX_ENTRY,
     _check_condition,
     _checked_svd,
     _dual_basis,
+    _real_embedding,
     herm_eig,
     takagi,
 )
+from lsd_toolkit.qstate import DensityMatrix
 
 
 def random_hermitian(rng, n=4):
@@ -208,15 +213,10 @@ class TestTakagi:
             assert resid <= 1e-13 * np.linalg.norm(tau, 2)
             assert np.max(np.abs(lam - target)) < 1e-14
 
-    def test_one_herm_eig_call(self, monkeypatch):
-        calls = []
-        real = matcore.herm_eig
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(matcore, "herm_eig", counted)
+    def test_one_eigh_call(self, monkeypatch):
+        # one LAPACK eigensolve, of minus the real embedding of the
+        # symmetrized tau, handed on without a second check
+        calls = _eigh_inputs(monkeypatch)
         for tau in (
             random_symmetric(np.random.default_rng(2)),
             np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
@@ -224,6 +224,80 @@ class TestTakagi:
             calls.clear()
             takagi(tau)
             assert len(calls) == 1
+            expected = -_real_embedding((tau + tau.T) / 2.0)
+            assert calls[0].dtype == np.float64
+            assert calls[0].tobytes() == expected.tobytes()
+
+
+def _eigh_inputs(monkeypatch):
+    """Copies of the matrices np.linalg.eigh is called on from now on."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestEigenSolverInput:
+    """herm_eig hands LAPACK -((a + a^dag) / 2.0), signed zeros included."""
+
+    # (a + ah) * -0.5 has the same values but flips the sign of the zero
+    # imaginary parts, which moves the eigenvectors inside the white
+    # mix's 2.5e-7 cluster and the lambdas with them
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bytes_of_the_negated_symmetrized_input(self, kind, monkeypatch):
+        if kind == "real":
+            a = random_hermitian(np.random.default_rng(5)).real
+        else:
+            phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+            eps = 1e-6
+            a = (1.0 - eps) * np.outer(phi, phi) + eps * np.eye(4) / 4.0
+            a = a.astype(complex)
+        calls = _eigh_inputs(monkeypatch)
+        herm_eig(a)
+        ah = a.conj().T
+        assert len(calls) == 1
+        assert calls[0].dtype == a.dtype
+        assert calls[0].tobytes() == (-((a + ah) / 2.0)).tobytes()
+        if kind == "complex":
+            # the canary has teeth: the other form differs in its zeros only
+            other = (a + ah) * -0.5
+            assert np.array_equal(calls[0], other)
+            assert calls[0].tobytes() != other.tobytes()
+
+
+class TestEntryBound:
+    """Entries past MAX_ENTRY raise before any sum of them can overflow."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DensityMatrix(np.diag([1e308, -1e308, 0.0, 1.0])),
+            lambda: DensityMatrix(np.full((4, 4), 1e308)),
+            lambda: takagi(np.diag([1e308, 1e308, 0.0, 0.0])),
+            lambda: herm_eig(np.diag([2.0**1001, 0.0])),
+            lambda: takagi(np.full((2, 2), 1.5e308 + 1.5e308j)),
+        ],
+        ids=["diag-pm-1e308", "all-1e308", "takagi-1e308", "2**1001", "abs-inf"],
+    )
+    def test_raises_a_typed_error_without_a_warning(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match="exceeds 2\\*\\*1000"):
+                make()
+
+    def test_entries_at_the_bound_are_solved(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, _ = herm_eig(np.diag([MAX_ENTRY, -MAX_ENTRY]))
+            _, lam = takagi(np.full((4, 4), MAX_ENTRY))
+        assert w.tolist() == [MAX_ENTRY, -MAX_ENTRY]
+        assert np.isfinite(lam).all()
+        assert lam[0] == pytest.approx(4.0 * MAX_ENTRY, rel=1e-14)
 
 
 class TestRealEmbedding:

@@ -232,3 +232,21 @@ def test_only_qstate_reads_the_spin_flip_matrix():
     # the check is not vacuous: an import elsewhere is found
     sources["lsd.py"] = '"""SIGMA_YY"""\nfrom .qstate import SIGMA_YY\n' + sources["lsd.py"]
     assert _modules_naming(sources, "SIGMA_YY") == ["lsd.py", "qstate.py"]
+
+
+def test_one_module_calls_the_eigensolver():
+    # every eigenpair comes from matcore._eigh_desc, the one np.linalg.eigh call
+    sources = _package_sources()
+    assert _modules_naming(sources, "eigh") == ["matcore.py"]
+    sources["coset.py"] += "\n\ndef _solve(m):\n    return np.linalg.eigh(m)\n"
+    assert _modules_naming(sources, "eigh") == ["coset.py", "matcore.py"]
+
+
+def test_herm_eig_is_called_where_outside_data_enters():
+    # the checked solver serves data from outside the package: a state's
+    # matrix (qstate), a caller's vector (wootters.pure_state_entropy) and
+    # the public name (__init__); the split and its certificate hand
+    # matrices built from checked data to matcore._eigh_desc unchecked
+    sources = _package_sources()
+    named = _modules_naming(sources, "herm_eig")
+    assert named == ["__init__.py", "qstate.py", "wootters.py"]
