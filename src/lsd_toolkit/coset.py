@@ -42,9 +42,12 @@ _FLOAT = np.finfo(float)
 class CosetParams:
     """Six hyperbolic angles plus a target overlap spectrum.
 
-    Every entry must be finite.  lambdas must be non-negative and
-    non-increasing; xi must be non-negative.  max|theta| + max xi +
-    max|phi| must be at most 350, past which the frame's Gram overflows.
+    Each field is a sequence of numbers (a str or bytes raises
+    ValueError naming the field), converted once to a tuple of floats.
+    Then, in this order and with ValueError: lambdas has four entries and
+    each angle pair two; every entry is finite; lambdas are non-negative
+    and non-increasing; xi is non-negative; and max|theta| + max xi +
+    max|phi| is at most 350, past which the frame's Gram overflows.
     """
 
     lambdas: Tuple[float, ...]
@@ -53,21 +56,28 @@ class CosetParams:
     phi: Tuple[float, ...]
 
     def __post_init__(self):
-        lam = tuple(float(x) for x in self.lambdas)
-        th = tuple(float(x) for x in self.theta)
-        xi = tuple(float(x) for x in self.xi)
-        ph = tuple(float(x) for x in self.phi)
+        for name in ("lambdas", "theta", "xi", "phi"):
+            # float() would read a string character by character
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)):
+                raise ValueError(
+                    "%s must be a sequence of numbers, not %s" % (name, type(value).__name__)
+                )
+        lam = tuple(map(float, self.lambdas))
+        th = tuple(map(float, self.theta))
+        xi = tuple(map(float, self.xi))
+        ph = tuple(map(float, self.phi))
         if len(lam) != 4:
             raise ValueError("lambdas must have length 4")
         if len(th) != 2 or len(xi) != 2 or len(ph) != 2:
             raise ValueError("theta, xi, phi must each have length 2")
-        if not all(math.isfinite(x) for x in lam + th + xi + ph):
+        if not all(map(math.isfinite, lam + th + xi + ph)):
             raise ValueError("parameters must be finite, got NaN or inf")
-        if any(x < 0.0 for x in lam):
+        if min(lam) < 0.0:
             raise ValueError("lambdas must be non-negative")
-        if any(lam[i] < lam[i + 1] for i in range(3)):
+        if not lam[0] >= lam[1] >= lam[2] >= lam[3]:
             raise ValueError("lambdas must be non-increasing")
-        if any(x < 0.0 for x in xi):
+        if min(xi) < 0.0:
             raise ValueError("xi angles must be non-negative")
         if max(map(abs, th)) + max(xi) + max(map(abs, ph)) > 350.0:
             raise ValueError("max|theta| + max xi + max|phi| exceeds 350")
@@ -79,11 +89,27 @@ class CosetParams:
 
 _NOT_ORTHOGONAL = "matrix not complex orthogonal (%.3e)"
 
+# factor k and plane (p, q) of theta_1, theta_2, xi_1, xi_2, phi_1 and phi_2,
+# and the flat indices, in the (3, 4, 4) stack of factors, of the entries
+# (p, p), (q, q), (p, q) and (q, p) of their rotations, one row per entry
+_PLANES = ((0, 0, 1), (0, 2, 3), (1, 0, 2), (1, 1, 3), (2, 0, 1), (2, 2, 3))
+_PLANE_ENTRIES = np.array(
+    [
+        [16 * k + 5 * p, 16 * k + 5 * q, 16 * k + 4 * p + q, 16 * k + 4 * q + p]
+        for k, p, q in _PLANES
+    ]
+).T.ravel()
+
 
 def _checked_frame(m, gram, message):
     """m, once gram, the Gram matrix of its columns under the frame's form,
-    is within 1e-9 of I; else ResidualCheckFailed with message % residual."""
-    resid = np.abs(gram - np.eye(4)).max()
+    is within 1e-9 of I; else ResidualCheckFailed with message % residual.
+
+    The identity is subtracted from gram's diagonal in place, so callers
+    pass a Gram matrix they have just formed and do not keep.
+    """
+    gram.flat[::5] -= 1.0
+    resid = np.abs(gram).max()
     # written "not resid <= tol" so that a NaN residual fails too
     if not resid <= 1e-9:
         raise ResidualCheckFailed(message % resid)
@@ -118,33 +144,23 @@ def y_from_x(x):
     return _checked_frame(y, y.T @ y, _NOT_ORTHOGONAL)
 
 
-def _roth(t):
-    c, s = np.cosh(t), np.sinh(t)
-    return np.array([[c, 1j * s], [-1j * s, c]])
-
-
 def y_factor(params):
     """Three-factor orthogonal matrix Theta(theta) Xi(xi) Phi(phi).
 
     Theta and Phi act in the (0,1) and (2,3) planes, Xi in the (0,2) and
     (1,3) planes; each plane carries a hyperbolic rotation
-    [[cosh t, i sinh t], [-i sinh t, cosh t]].  Returns a complex 4x4
-    array; ResidualCheckFailed when Y^T Y misses the identity by more
-    than 1e-9, as it does on rounding at strong squeezing.
+    [[cosh t, i sinh t], [-i sinh t, cosh t]].  The six cosh and sinh
+    values come from one call each and fill one (3, 4, 4) stack of the
+    three factors.  Returns a complex 4x4 array; ResidualCheckFailed when
+    Y^T Y misses the identity by more than 1e-9, as it does on rounding
+    at strong squeezing.
     """
-    th1, th2 = params.theta
-    xi1, xi2 = params.xi
-    ph1, ph2 = params.phi
-    theta = np.zeros((4, 4), dtype=complex)
-    theta[:2, :2] = _roth(th1)
-    theta[2:, 2:] = _roth(th2)
-    xi = np.zeros((4, 4), dtype=complex)
-    xi[0::2, 0::2] = _roth(xi1)
-    xi[1::2, 1::2] = _roth(xi2)
-    phi = np.zeros((4, 4), dtype=complex)
-    phi[:2, :2] = _roth(ph1)
-    phi[2:, 2:] = _roth(ph2)
-    y = theta @ xi @ phi
+    t = np.array(params.theta + params.xi + params.phi)
+    c, s = np.cosh(t), np.sinh(t)
+    f = np.zeros(48, dtype=complex)
+    f[_PLANE_ENTRIES] = np.concatenate((c, c, 1j * s, -1j * s))
+    f = f.reshape(3, 4, 4)
+    y = f[0] @ f[1] @ f[2]
     return _checked_frame(y, y.T @ y, _NOT_ORTHOGONAL)
 
 

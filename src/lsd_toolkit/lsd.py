@@ -76,7 +76,9 @@ class LSDecomposition:
     four zero-concurrence product vectors built from it, and phases the
     angles theta_j used for zs.  xpp and zs hold one vector per row of a
     complex (4, 4) array.  Construction copies the arrays and raises
-    ValueError on another shape or on a non-finite entry.
+    ValueError on another shape, then, from one finiteness test over all
+    of them, on a non-finite entry, naming the first such field in the
+    order xpp, zs, lambdas_pp, phases, pure.
     """
 
     weight: float
@@ -103,9 +105,12 @@ class LSDecomposition:
         }
         if self.pure is not None:
             arrays["pure"] = np.array(self.pure, dtype=complex).reshape(4)
+        # one test over all entries; the loop only names the first bad field
+        if not np.isfinite(np.concatenate([a.ravel() for a in arrays.values()])).all():
+            for name, arr in arrays.items():
+                if not np.isfinite(arr).all():
+                    raise ValueError("%s has non-finite entries" % name)
         for name, arr in arrays.items():
-            if not np.isfinite(arr).all():
-                raise ValueError("%s has non-finite entries" % name)
             object.__setattr__(self, name, arr)
 
 

@@ -47,11 +47,15 @@ class WoottersDecomposition:
 
     x_i is row i of the complex (4, 4) array xs, and the |x_i><x_i| sum
     to the state they decompose; lambdas is its lambda spectrum, a
-    read-only (4,) float array.  Construction checks that lambdas has
-    four finite entries, none below -1e-12 and each no more than 1e-12
-    above the one before, and raises ValueError otherwise; it clips the
-    entries at 0.  It then rechecks the tilde orthogonality and the unit
-    trace sum.
+    read-only (4,) float array.  Construction checks, in this order, each
+    once: that lambdas has four entries (ValueError), that they are
+    finite (ValueError), and that none is below -1e-12 and each is no
+    more than 1e-12 above the one before (ValueError), then clips them at
+    0; that xs is a (4, 4) family (ValueError); that the spin-flip form
+    of xs, with the clipped lambdas subtracted from its diagonal in
+    place, is within 1e-9 of 0 (ResidualCheckFailed); and that the norms
+    of the x_i, one vdot over xs, sum to 1 within 1e-10
+    (ResidualCheckFailed).
     """
 
     xs: ComplexArray
@@ -70,13 +74,15 @@ class WoottersDecomposition:
         lam = np.array([x if x > 0.0 else 0.0 for x in vals])
         _read_only(lam)
         xs = _family(self.xs, "x")
-        res = float(np.abs(_flip_form(xs) - np.diag(lam)).max())
+        form = _flip_form(xs)
+        form.flat[::5] -= lam
+        res = float(np.abs(form).max())
         # written "not res <= tol" so that a NaN residual fails too
         if not res <= 1e-9:
             raise ResidualCheckFailed(
                 "tilde orthogonality residual %.3e exceeds 1e-9" % res
             )
-        tr = float(sum(np.vdot(xi, xi).real for xi in xs))
+        tr = float(np.vdot(xs, xs).real)
         if not abs(tr - 1.0) <= 1e-10:
             raise ResidualCheckFailed("norms sum to %.12f instead of 1" % tr)
         object.__setattr__(self, "xs", xs)

@@ -262,6 +262,12 @@ class TestGenerate:
         assert main(["generate", "--params", str(pfile), "--output", "/dev/null"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_rejects_a_string_field_in_params_file(self, tmp_path, capsys):
+        pfile = tmp_path / "p.json"
+        pfile.write_text('{"lambdas": "4321", "theta": [0, 0], "xi": [0, 0], "phi": [0, 0]}')
+        assert main(["generate", "--params", str(pfile), "--output", "/dev/null"]) == 2
+        assert "expected float" in capsys.readouterr().err
+
     def test_squeezed_states_round_trip_through_analyze(self, tmp_path, capsys):
         # max xi in [4.5, 6]: valid parameters and the states they make are
         # never reported as bad input

@@ -133,7 +133,7 @@ class TestYFactor:
             return np.array([[c, 1j * s], [-1j * s, c]])
 
         rng = np.random.default_rng(2)
-        for _ in range(25):
+        for _ in range(200):
             th, ph = rng.uniform(-2, 2, (2, 2))
             xi = rng.uniform(0, 6, 2)
             factors = []
@@ -320,6 +320,50 @@ class TestCosetParamsValidation:
         p = params(theta=(100, -100), xi=(150, 150), phi=(-100, 100))
         with pytest.raises(ResidualCheckFailed, match=r"\(1\.000e\+00\)"):
             coset_generate(p)
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(lambdas="4321", theta="00", xi="00", phi="00"), "lambdas .* not str"),
+            (dict(lambdas=b"abcd"), "lambdas .* not bytes"),
+            (dict(phi="00"), "phi must be a sequence of numbers, not str"),
+        ],
+    )
+    def test_rejects_a_string_field(self, kw, match):
+        # float() would read "4321" as the lambdas (4.0, 3.0, 2.0, 1.0)
+        # character by character, and b"abcd" as (97, 98, 99, 100)
+        kw = dict(dict(lambdas=(0.4, 0.3, 0.2, 0.1), theta=(0, 0), xi=(0, 0), phi=(0, 0)), **kw)
+        with pytest.raises(ValueError, match=match):
+            CosetParams(**kw)
+
+    def test_reads_a_list_of_number_strings(self):
+        # the form the CLI's comma-separated flags hand over
+        p = CosetParams(
+            lambdas="0.4,0.3,0.2,0.1".split(","),
+            theta=["0.5", "-1"],
+            xi=["2", "0"],
+            phi=["0", "1e-3"],
+        )
+        assert p == params(theta=(0.5, -1.0), xi=(2.0, 0.0), phi=(0.0, 1e-3))
+        assert all(type(x) is float for x in p.lambdas + p.theta + p.xi + p.phi)
+
+    def test_first_broken_rule_raises(self):
+        # each input breaks its rule and every later one: lengths,
+        # finiteness, sign, order, xi, the 350 bound
+        nan = np.nan
+        rules = [
+            (dict(lambdas=(nan, -1, 2)), "lambdas must have length 4"),
+            (dict(lambdas=(nan, -1, 2, 3), theta=(0,)), "theta, xi, phi must each have length 2"),
+            (dict(lambdas=(nan, -1, 2, 3)), "finite"),
+            (dict(lambdas=(1, -1, 2, 3)), "non-negative"),
+            (dict(lambdas=(1, 0, 2, 3)), "non-increasing"),
+            (dict(), "xi angles must be non-negative"),
+            (dict(xi=(1, 0)), "exceeds 350"),
+        ]
+        for kw, match in rules:
+            kw = dict(dict(lambdas=(3, 2, 1, 0), theta=(0, 0), xi=(-1, 0), phi=(0, 400)), **kw)
+            with pytest.raises(ValueError, match=match):
+                CosetParams(**kw)
 
     def test_rejects_non_finite_from_json(self):
         obj = json.loads(

@@ -770,6 +770,10 @@ class TestInterlacing:
             verify_optimality(rho, dataclasses.replace(d, zs=zs, weight=1.0))
 
 
+# the array fields of LSDecomposition, in field order
+_SPLIT_ARRAYS = ("xpp", "zs", "lambdas_pp", "phases", "pure")
+
+
 class TestJsonRoundTrip:
     def test_decomposition_exact(self):
         d = ls_decompose(sample_random(1, rank=4))
@@ -820,6 +824,27 @@ class TestJsonRoundTrip:
         obj[key] = value
         with pytest.raises(ValueError, match=match):
             lsd_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "first, later",
+        [
+            (a, b)
+            for i, a in enumerate(_SPLIT_ARRAYS)
+            for b in _SPLIT_ARRAYS[i + 1:]
+        ],
+    )
+    def test_non_finite_names_the_first_field(self, first, later):
+        # one finiteness test covers every array; the error names the
+        # first bad one in field order, as a test per field would
+        d = ls_decompose(sample_random(1, rank=4))
+        assert d.pure is not None
+        bad = {}
+        for name in (first, later):
+            arr = np.array(getattr(d, name))
+            arr.reshape(-1)[-1] = np.nan
+            bad[name] = arr
+        with pytest.raises(ValueError, match="^%s has non-finite entries$" % first):
+            dataclasses.replace(d, **bad)
 
     def test_report_exact(self):
         rho = sample_random(11, rank=3)

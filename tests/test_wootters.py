@@ -177,6 +177,26 @@ class TestWoottersDecompositionValidation:
             with pytest.raises(ResidualCheckFailed, match=message):
                 WoottersDecomposition(xs=xs, lambdas=lam)
 
+    def test_first_broken_rule_raises(self):
+        # each input breaks its rule and every later one, in the order
+        # lambdas' shape, finiteness, sign and order, the family's shape,
+        # tilde orthogonality and the norm sum
+        w = wootters_basis(sample_random(2))
+        product = wootters_basis(pure(E[:, 0]))
+        doubled = 2.0 * w.xs
+        rules = [
+            (doubled[:3], [np.nan, -1.0, 0.2], ValueError, "four entries"),
+            (doubled[:3], [np.nan, -1.0, 0.1, 0.2], ValueError, "finite"),
+            (doubled[:3], [0.1, -1.0, 0.1, 0.2], ValueError, "non-negative and descending"),
+            (doubled[:3], [0.1, 0.2, 0.1, 0.0], ValueError, "non-negative and descending"),
+            (doubled[:3], w.lambdas, ValueError, "exactly four x vectors"),
+            (doubled, w.lambdas, ResidualCheckFailed, "tilde orthogonality"),
+            (2.0 * product.xs, product.lambdas, ResidualCheckFailed, "norms sum"),
+        ]
+        for xs, lam, error, match in rules:
+            with pytest.raises(error, match=match):
+                WoottersDecomposition(xs=xs, lambdas=lam)
+
 
 class TestWoottersDecompositionJson:
     # records written when the JSON form also held "u", a unitary with
