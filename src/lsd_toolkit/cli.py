@@ -118,9 +118,14 @@ def _certify(rho, d, args, payload):
     return 0 if rep.verdict else 4
 
 
-def cmd_analyze(args):
+def _load_state(args):
+    """The --input state and its {"path", "sha256"} input record."""
     obj, label, digest = _load_json(args.input)
-    rho = from_json(DensityMatrix, obj)
+    return from_json(DensityMatrix, obj), {"path": label, "sha256": digest}
+
+
+def cmd_analyze(args):
+    rho, source = _load_state(args)
     t0 = time.perf_counter()
     spec = lambda_spectrum(rho)
     c = _concurrence_of(spec)
@@ -130,7 +135,7 @@ def cmd_analyze(args):
     t2 = time.perf_counter()
     avg = None if d.pure is None else average_concurrence(d)
     payload = {
-        "input": {"path": label, "sha256": digest},
+        "input": source,
         "spectrum": to_json(spec),
         "concurrence": c,
         "entanglement_of_formation": eof,
@@ -148,14 +153,13 @@ def cmd_analyze(args):
 
 
 def cmd_decompose(args):
-    obj, label, digest = _load_json(args.input)
-    rho = from_json(DensityMatrix, obj)
+    rho, source = _load_state(args)
     t0 = time.perf_counter()
     d = ls_decompose(rho)
     t1 = time.perf_counter()
     inv = split_invariants(rho, d)._asdict()
     payload = {
-        "input": {"path": label, "sha256": digest},
+        "input": source,
         "decomposition": to_json(d),
         "invariants": inv,
         "timings": {"decompose": t1 - t0},
@@ -245,25 +249,11 @@ def _tolerance(text):
         ) from None
 
 
-def _add_io_args(sp, with_input=True, with_tol=True, with_certify=False):
-    if with_input:
-        sp.add_argument(
-            "--input", default="-", help="state JSON file, or - for stdin"
-        )
+def _add_output_args(sp):
     sp.add_argument("--output", default=None, help="write the report here")
     sp.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
     )
-    if with_tol:
-        sp.add_argument(
-            "--tol", type=_tolerance, default=1e-8, help="residual tolerance"
-        )
-    if with_certify:
-        sp.add_argument(
-            "--certify",
-            action="store_true",
-            help="run the optimality certificate as well",
-        )
 
 
 @functools.cache
@@ -275,13 +265,18 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="spectrum, concurrence, and split summary")
-    _add_io_args(pa, with_certify=True)
-    pa.set_defaults(func=cmd_analyze)
-
-    pd = sub.add_parser("decompose", help="full split with invariant residuals")
-    _add_io_args(pd, with_certify=True)
-    pd.set_defaults(func=cmd_decompose)
+    for name, text, func in (
+        ("analyze", "spectrum, concurrence, and split summary", cmd_analyze),
+        ("decompose", "full split with invariant residuals", cmd_decompose),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--input", default="-", help="state JSON file, or - for stdin")
+        _add_output_args(sp)
+        sp.add_argument("--tol", type=_tolerance, default=1e-8, help="residual tolerance")
+        sp.add_argument(
+            "--certify", action="store_true", help="run the optimality certificate as well"
+        )
+        sp.set_defaults(func=func)
 
     pg = sub.add_parser("generate", help="state with a target overlap spectrum")
     pg.add_argument("--params", default=None, help="parameter JSON file")
@@ -290,7 +285,7 @@ def _build_parser():
     pg.add_argument("--xi", default="0,0", help="two non-negative angles")
     pg.add_argument("--phi", default="0,0", help="two angles, comma-separated")
     pg.add_argument("--seed", type=int, default=0, help="seed for random parameters")
-    _add_io_args(pg, with_input=False, with_tol=False)
+    _add_output_args(pg)
     pg.set_defaults(func=cmd_generate)
 
     pv = sub.add_parser("verify", help="randomized property suites")
@@ -308,10 +303,7 @@ def _build_parser():
         default=None,
         help="override every per-property tolerance",
     )
-    pv.add_argument("--output", default=None, help="write the report here")
-    pv.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
+    _add_output_args(pv)
     pv.set_defaults(func=cmd_verify)
     return p
 

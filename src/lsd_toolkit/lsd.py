@@ -203,55 +203,34 @@ def ls_decompose(rho):
     w = wootters_basis(rho)
     lam = w.lambdas
     cls = _classify(rho, lam)
+    pure = None
     if cls == "separable":
-        phases = _closure_phases(lam)
-        return LSDecomposition(
-            weight=1.0,
-            sep=rho,
-            pure=None,
-            xpp=w.xs,
-            lambdas_pp=lam.copy(),
-            zs=_build_zs(w.xs, phases),
-            rank_class=cls,
-            phases=phases,
-        )
-    if cls == "pure":
-        psi = w.xs[0] / np.linalg.norm(w.xs[0])
+        weight, sep, xpp, lambdas_pp, phases = 1.0, rho, w.xs, lam, _closure_phases(lam)
+    elif cls == "pure":
+        pure = w.xs[0] / np.linalg.norm(w.xs[0])
         sep = _pure_partner()
         ws = wootters_basis(sep)
-        return LSDecomposition(
-            weight=0.0,
-            sep=sep,
-            pure=psi,
-            xpp=ws.xs,
-            lambdas_pp=ws.lambdas.copy(),
-            zs=_build_zs(ws.xs, DEFAULT_PHASES),
-            rank_class=cls,
-            phases=DEFAULT_PHASES.copy(),
-        )
-    weight, rest, lam_cls = _optimal_weight(w)
-    x1 = w.xs[0]
-    xpp = w.xs / np.sqrt(weight)
-    xpp[0] = np.sqrt(rest / (weight * float(lam[0]))) * x1
-    # rank-deficient vectors, kept identically zero
-    xpp[1:][[float(np.vdot(x, x).real) <= 1e-24 for x in w.xs[1:]]] = 0.0
-    lambdas_pp = np.array(
-        [
-            rest / weight,
-            lam_cls[1] / weight,
-            lam_cls[2] / weight,
-            lam_cls[3] / weight,
-        ]
-    )
+        weight, xpp, lambdas_pp, phases = 0.0, ws.xs, ws.lambdas, DEFAULT_PHASES
+    else:
+        weight, rest, lam_cls = _optimal_weight(w)
+        x1 = w.xs[0]
+        xpp = w.xs / np.sqrt(weight)
+        xpp[0] = np.sqrt(rest / (weight * float(lam[0]))) * x1
+        # rank-deficient vectors, kept identically zero
+        xpp[1:][[float(np.vdot(x, x).real) <= 1e-24 for x in w.xs[1:]]] = 0.0
+        lambdas_pp = np.array([rest, *lam_cls[1:]]) / weight
+        sep = DensityMatrix(_outer_sum(xpp))
+        pure = x1 / np.sqrt(float(np.vdot(x1, x1).real))
+        phases = DEFAULT_PHASES
     return LSDecomposition(
         weight=float(weight),
-        sep=DensityMatrix(_outer_sum(xpp)),
-        pure=x1 / np.sqrt(float(np.vdot(x1, x1).real)),
+        sep=sep,
+        pure=pure,
         xpp=xpp,
         lambdas_pp=lambdas_pp,
-        zs=_build_zs(xpp, DEFAULT_PHASES),
+        zs=_build_zs(xpp, phases),
         rank_class=cls,
-        phases=DEFAULT_PHASES.copy(),
+        phases=phases,
     )
 
 
@@ -401,16 +380,16 @@ def _parallel_matrix(zs):
     return cos > 1.0 - 1e-10
 
 
-# families of the entangled classes: the singles, the independent pairs and
-# the pairs tied by z_a + z_b = x''_1, which get the closed-form check.  In
-# the full and rank3 rows every single lies in an independent pair, so the
-# margin reads the pairs alone (see _independence_margin).  The pure split's
-# fixed partner has z_0 = z_1 and z_2 = z_3, and no pair conditions at weight 0
+# families of the entangled classes: the groups the margin reads, and the pairs tied by
+# z_a + z_b = x''_1, which get the closed-form check.  The full and rank3 rows list their
+# independent pairs, which hold every single (see _independence_margin); rank2 and pure
+# have none and list their singles.  The pure split's fixed partner has z_0 = z_1 and
+# z_2 = z_3, and no pair conditions at weight 0
 _ENTANGLED_FAMILIES = {
-    "full": ((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), ()),
-    "rank3": ((0, 1, 2, 3), ((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 3), (1, 2))),
-    "rank2": ((0, 2), (), ((0, 2),)),
-    "pure": ((0, 2), (), ()),
+    "full": (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), ()),
+    "rank3": (((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 3), (1, 2))),
+    "rank2": (((0,), (2,)), ((0, 2),)),
+    "pure": (((0,), (2,)), ()),
 }
 
 
@@ -609,8 +588,7 @@ def verify_optimality(rho, d, tol=1e-8):
             margin = 1.0
     else:
         anchor = d.pure if cls == "pure" else x1
-        single_idx, indep, dep = _ENTANGLED_FAMILIES[cls]
-        groups = indep or [(a,) for a in single_idx]
+        groups, dep = _ENTANGLED_FAMILIES[cls]
     margin = min(margin, _independence_margin(zs, lams, groups, anchor, coeff))
     pairs = []
     if dep and rest > 0.0:

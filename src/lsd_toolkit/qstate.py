@@ -106,11 +106,13 @@ def lambda_spectrum_raw(m):
     without squaring the condition number; wootters_basis
     Takagi-factorizes the same tau instead.
     Eigenvalues at or below the support cut drop out of g, so a low-rank
-    state's trailing lambdas are exact zeros.  herm_eig checks m first:
-    an m that is not Hermitian or has an entry that is not finite or
-    above 2**1000 raises NotHermitian, and an eigenvalue below -1e-10
-    raises NotPSD.
+    state's trailing lambdas are exact zeros.  An m of another shape than
+    4x4 raises ValueError; herm_eig then checks m: an m that is not
+    Hermitian or has an entry that is not finite or above 2**1000 raises
+    NotHermitian, and an eigenvalue below -1e-10 raises NotPSD.
     """
+    if np.shape(m) != (4, 4):
+        raise ValueError("lambda_spectrum_raw expects a 4x4 matrix")
     w, v = herm_eig(m)
     if w[-1] < -1e-10:
         raise NotPSD("matrix eigenvalue %.3e below -1e-10" % w[-1])

@@ -93,7 +93,7 @@ class TestAnalyze:
         assert len(calls) == 1
         monkeypatch.undo()
         obj = json.loads(out.read_text())
-        rho = density_from_json(json.loads(open(state_file).read()))
+        rho = density_from_json(json.loads(Path(state_file).read_text()))
         assert obj["concurrence"] == concurrence(rho)
         assert obj["entanglement_of_formation"] == entanglement_of_formation(rho)
 
@@ -108,7 +108,7 @@ class TestDecompose:
         assert rc == 0
         obj = json.loads(out.read_text())
         d = lsd_from_json(obj["decomposition"])
-        rho = density_from_json(json.loads(open(state_file).read()))
+        rho = density_from_json(json.loads(Path(state_file).read_text()))
         recon = d.weight * d.sep.m
         if d.pure is not None:
             recon = recon + (1.0 - d.weight) * np.outer(d.pure, np.conj(d.pure))
@@ -123,7 +123,7 @@ class TestDecompose:
         main(["decompose", "--input", state_file, "--output", str(out)])
         obj = json.loads(out.read_text())
         d = lsd_from_json(obj["decomposition"])
-        rho = density_from_json(json.loads(open(state_file).read()))
+        rho = density_from_json(json.loads(Path(state_file).read_text()))
         expect = ls_decompose(rho)
         assert d.weight == expect.weight
         assert d.rank_class == expect.rank_class

@@ -673,12 +673,12 @@ class TestStackedCertificate:
 
 
 def _uncovered_singles(table):
-    """(class, a) for each single of the full and rank3 rows in no independent pair."""
+    """(class, a) for each index 0-3 in no group of the full and rank3 rows."""
     return [
         (cls, a)
         for cls in ("full", "rank3")
-        for a in table[cls][0]
-        if not any(a in pair for pair in table[cls][1])
+        for a in range(4)
+        if not any(a in group for group in table[cls][0])
     ]
 
 
@@ -701,13 +701,16 @@ class TestInterlacing:
 
     def test_every_single_lies_in_an_independent_pair(self):
         table = lsd._ENTANGLED_FAMILIES
-        assert table["full"][1] and table["rank3"][1]
+        # the full and rank3 rows list pairs only, the rank2 and pure rows singles
+        for cls, size in (("full", 2), ("rank3", 2), ("rank2", 1), ("pure", 1)):
+            groups, _ = table[cls]
+            assert groups and all(len(g) == size for g in groups)
         assert _uncovered_singles(table) == []
         # the check is not vacuous: a rank3 row without the pairs through
         # z_0 leaves that single to itself
         mutated = dict(table)
-        singles, indep, dep = table["rank3"]
-        mutated["rank3"] = (singles, tuple(p for p in indep if 0 not in p), dep)
+        groups, dep = table["rank3"]
+        mutated["rank3"] = (tuple(p for p in groups if 0 not in p), dep)
         assert _uncovered_singles(mutated) == [("rank3", 0)]
 
     def test_margin_is_the_minimum_over_singles_and_pairs(self):

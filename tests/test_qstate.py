@@ -368,6 +368,13 @@ class TestLambdaSpectrum:
                 for m in (sample_random(seed, rank=rank).m, g @ g.conj().T):
                     assert np.all(lambda_spectrum_raw(m)[rank:] == 0.0)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 2), (8, 8), (4, 4, 1)])
+    def test_other_shapes_raise_a_value_error(self, shape):
+        # 0x0 used to fail in w[-1] with IndexError, 2x2 and 8x8 in matmul
+        m = np.eye(*shape[:2]).reshape(shape) / max(shape[0], 1)
+        with pytest.raises(ValueError, match="lambda_spectrum_raw expects a 4x4 matrix"):
+            lambda_spectrum_raw(m)
+
     def test_state_spectrum_reads_the_kept_eigenpair(self, monkeypatch):
         states = [sample_random(s, rank=r) for s in range(10) for r in (1, 2, 3, 4)]
         calls = []

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from lsd_toolkit import suites
 from lsd_toolkit.suites import (
-    _Tracker,
+    _run,
     PropertyResult,
     run_all_suites,
     run_coset_suite,
@@ -87,17 +88,43 @@ class TestRunAll:
             assert all(r.passed for r in results)
 
 
-class TestTracker:
+class TestRun:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_residual_fails_with_its_seed(self, bad):
-        t = _Tracker("x", 1e-9)
-        t.add(0, 0.0)
-        t.add(1, bad)
-        t.add(2, 1e-12)
-        r = t.result()
+        rows = [(0, {"x": 0.0}), (1, {"x": bad}), (2, {"x": 1e-12})]
+        (r,) = _run([("x", 1e-9)], None, iter(rows))
         assert not r.passed
         assert r.first_failure_seed == 1
         assert not math.isfinite(r.max_residual)
+        if math.isnan(bad):
+            assert math.isnan(r.max_residual)
+
+    def test_a_row_left_out_is_not_counted(self):
+        rows = [(0, {"a": 0.0, "b": 0.0}), (1, {"a": 0.0}), (2, {"a": 2.0, "b": 0.5})]
+        a, b = _run([("a", 1.0), ("b", 1.0)], None, iter(rows))
+        assert (a.name, a.cases, a.max_residual, a.first_failure_seed) == ("a", 3, 2.0, 2)
+        assert (b.name, b.cases, b.max_residual, b.passed) == ("b", 2, 0.5, True)
+
+    def test_lsd_suite_counts_boundary_rows_only_on_entangled_cases(self):
+        # seeds 0-19 hold one separable state, which has no boundary check
+        cases = {r.name: r.cases for r in run_lsd_suite(n=20, seed=0)}
+        assert cases["boundary-spectrum"] == cases["average-concurrence-match"] < 20
+        for name in ("split-reconstruction", "separable-part-ppt", "certificate"):
+            assert cases[name] == 20
+
+    @pytest.mark.parametrize("suite", [run_wootters_suite, run_lsd_suite, run_coset_suite])
+    def test_bad_tol_raises_before_any_case(self, suite, monkeypatch):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran before the tol check")
+
+        # every case starts by drawing its state or its parameters
+        monkeypatch.setattr(suites, "sample_random", no_case)
+        monkeypatch.setattr(suites, "_random_pure", no_case)
+        monkeypatch.setattr(suites, "_random_params", no_case)
+        with pytest.raises(AssertionError, match="a case ran"):
+            suite(n=1, tol=1e-9)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            suite(n=1, tol=math.nan)
 
 
 class TestTolOverride:
