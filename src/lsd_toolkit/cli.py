@@ -173,18 +173,28 @@ def cmd_decompose(args):
 
 
 def _params_from_args(args):
+    """Parameters from --params, from --lambdas and the angles, or from --seed.
+
+    Raises ValueError, naming the option, when an option is given that the
+    chosen source does not read.
+    """
+    given = [n for n in ("lambdas", "theta", "xi", "phi") if getattr(args, n) is not None]
     if args.params:
+        if given:
+            raise ValueError("--%s is not read beside --params" % given[0])
         obj, _, _ = _load_json(args.params)
         return from_json(CosetParams, obj)
-    if args.lambdas is not None:
-        # CosetParams converts each entry to float and checks the lengths
-        return CosetParams(
-            lambdas=args.lambdas.split(","),
-            theta=args.theta.split(","),
-            xi=args.xi.split(","),
-            phi=args.phi.split(","),
-        )
-    return _random_params(args.seed)
+    if args.lambdas is None:
+        if given:
+            raise ValueError("--%s is read only with --lambdas" % given[0])
+        return _random_params(args.seed)
+    # CosetParams converts each entry to float and checks the lengths
+    return CosetParams(
+        lambdas=args.lambdas.split(","),
+        theta=(args.theta or "0,0").split(","),
+        xi=(args.xi or "0,0").split(","),
+        phi=(args.phi or "0,0").split(","),
+    )
 
 
 def cmd_generate(args):
@@ -281,9 +291,10 @@ def _build_parser():
     pg = sub.add_parser("generate", help="state with a target overlap spectrum")
     pg.add_argument("--params", default=None, help="parameter JSON file")
     pg.add_argument("--lambdas", default=None, help="four target values, comma-separated")
-    pg.add_argument("--theta", default="0,0", help="two angles, comma-separated")
-    pg.add_argument("--xi", default="0,0", help="two non-negative angles")
-    pg.add_argument("--phi", default="0,0", help="two angles, comma-separated")
+    with_lambdas = " (with --lambdas only; default 0,0)"
+    pg.add_argument("--theta", help="two angles, comma-separated" + with_lambdas)
+    pg.add_argument("--xi", help="two non-negative angles" + with_lambdas)
+    pg.add_argument("--phi", help="two angles, comma-separated" + with_lambdas)
     pg.add_argument("--seed", type=int, default=0, help="seed for random parameters")
     _add_output_args(pg)
     pg.set_defaults(func=cmd_generate)

@@ -30,10 +30,10 @@ class DependentVectors(LsdToolkitError):
 
 
 class SingularCoefficients(LsdToolkitError):
-    """Coefficients of an operator on a vector family are numerically singular.
+    """Coefficient block of a closed-form pair is numerically singular.
 
-    Raised when the diagonal (Lambda_a, ..., coeff) of a family, or the 2x2
-    block of a closed-form pair, has reciprocal condition below 1e-12.
+    Raised when the 2x2 block diag(Lambda_a, Lambda_b) + coeff c c^dag of
+    a pair tied by z_a + z_b = x''_1 has reciprocal condition below 1e-12.
     """
 
 

@@ -4,9 +4,10 @@ A state rho is written as weight * rho_sep + (1 - weight) * |psi><psi|
 with rho_sep separable, on the Wootters basis (ls_decompose says in
 what sense the weight is maximal).  The separable part carries a product
 ensemble of four zero-concurrence vectors z_alpha.  The certificate
-checks the structural identities of the split, the linear independence
-that makes each Lambda_alpha = <z_alpha|z_alpha> maximal by itself, and
-the closed-form conditions of the pairs tied by z_a + z_b = x''_1.
+checks the structural identities of the split and the closed-form
+conditions of the pairs tied by z_a + z_b = x''_1, and reports the
+margin of the linear independence that makes each Lambda_alpha =
+<z_alpha|z_alpha> maximal by itself.
 """
 
 import math
@@ -18,16 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import NoPurePart, PhaseConstraintViolated, RankMismatch
-from .matcore import (
-    _DEPENDENT,
-    _SINGULAR,
-    _check_condition,
-    _check_finite,
-    _checked_svd,
-    _checked_tol,
-    _dual_basis,
-    _eigh_desc,
-)
+from .matcore import _SINGULAR, _checked_svd, _checked_tol, _dual_basis, _eigh_desc
 from .qstate import (
     ComplexArray,
     DensityMatrix,
@@ -354,7 +346,7 @@ class OptimalityReport:
 
     independence_margin is the smallest s_min / s_max of the product
     vector families, each with its anchor, that the maximality conditions
-    are stated on.
+    are stated on.  The verdict does not read it.
     """
 
     rank_class: str
@@ -393,22 +385,18 @@ _ENTANGLED_FAMILIES = {
 }
 
 
-def _independence_margin(zs, lams, groups, anchor, coeff):
+def _independence_margin(zs, groups, anchor):
     """Smallest s_min / s_max over the families (z_a for a in group, then anchor).
 
     The groups have one size and fill one stack, vectors as columns and
-    the anchor last, for one batched SVD; no groups give inf.  The
-    coefficients diag(Lambda_a ..., coeff) are tested by their
-    magnitudes, the singular values of a diagonal, as Python floats.
+    the anchor last, for one batched SVD; no groups give inf.
 
-    The caller passes only the families that can decide the margin and
-    the tests.  A single (z_a, anchor) is a column subset of an
-    independent pair (z_a, z_b, anchor), and deleting a column moves
-    neither singular value outward (interlacing): its s_min / s_max is no
-    smaller than the pair's.  Its coefficient ratio over (Lambda_a,
-    coeff) is likewise no smaller than the pair's over (Lambda_a,
-    Lambda_b, coeff).  So where every single lies in a pair, the singles
-    decide neither the margin nor either condition test.
+    The caller passes only the families that can decide the margin.  A
+    single (z_a, anchor) is a column subset of an independent pair (z_a,
+    z_b, anchor), and deleting a column moves neither singular value
+    outward (interlacing): its s_min / s_max is no smaller than the
+    pair's.  So where every single lies in a pair, the singles do not
+    decide the margin.
     """
     if not groups:
         return math.inf
@@ -416,12 +404,10 @@ def _independence_margin(zs, lams, groups, anchor, coeff):
     k = idx.shape[1]
     fams = np.empty((len(idx), 4, k if anchor is None else k + 1), dtype=complex)
     fams[:, :, :k] = zs[idx].swapaxes(1, 2)
-    tail = []
     if anchor is not None:
         fams[:, :, k] = anchor
-        tail = [abs(coeff)]
-    _, s, _ = _checked_svd(fams, *_DEPENDENT)
-    _check_condition([[abs(lams[a]) for a in g] + tail for g in groups], *_SINGULAR)
+    # u and vh are unused, but an SVD without them rounds s differently
+    _, s, _ = np.linalg.svd(fams, full_matrices=False)
     return float((s[:, -1] / s[:, 0]).min())
 
 
@@ -501,17 +487,16 @@ def verify_optimality(rho, d, tol=1e-8):
     family, whatever its vectors, so those records cannot fail; the
     certificate reports what they rest on instead, the independence
     margin: the smallest s_min / s_max over the single and independent
-    pair families.  A family with (s_min / s_max)**2 below 1e-12 raises
-    DependentVectors, and one whose diagonal coefficients have min / max
-    below 1e-12 raises SingularCoefficients.  Only the families that can
-    decide these are computed.  By singular-value interlacing a single
-    (z_a, anchor), a column subset of the pair (z_a, z_b, anchor), has
-    an s_min / s_max and a coefficient ratio no smaller than the pair's;
-    in the full and rank3 classes every single lies in an independent
-    pair, so their pairs alone take one batched SVD.  A separable single
-    is one vector with ratio exactly 1, so the separable margin is the
-    smaller of 1 and its pairs' ratios.  The rank2 and pure classes have
-    no pairs and take one batched SVD of their singles.
+    pair families.  The margin is reported, not tested: the verdict does
+    not read it, and a caller who wants a threshold applies one to it.
+    Only the families that can decide it are computed.  By singular-value
+    interlacing a single (z_a, anchor), a column subset of the pair (z_a,
+    z_b, anchor), has an s_min / s_max no smaller than the pair's; in the
+    full and rank3 classes every single lies in an independent pair, so
+    their pairs alone take one batched SVD.  A separable single is one
+    vector with ratio exactly 1, so the separable margin is the smaller
+    of 1 and its pairs' ratios.  The rank2 and pure classes have no pairs
+    and take one batched SVD of their singles.
 
     The condition has content only for dependent vectors, the pairs tied
     by z_a + z_b = x''_1 of the rank3 and rank2 classes; those get the
@@ -520,7 +505,9 @@ def verify_optimality(rho, d, tol=1e-8):
     coefficient block diag(Lambda_a, Lambda_b) + coeff c c^dag, with c
     the coordinates of x_1 in the pair's dual frame; one stack of all the
     pairs takes one batched SVD for the dual frames and one for the
-    blocks.
+    blocks.  These two inverses are the certificate's only raises: a
+    dependent pair raises DependentVectors, and a block with s_min / s_max
+    below 1e-12 raises SingularCoefficients.
 
     The verdict is True when every structural check and every closed-form
     pair lands within tol (the partial-transpose check has its own
@@ -536,7 +523,6 @@ def verify_optimality(rho, d, tol=1e-8):
         )
     x1 = w.xs[0]
     lamw = float(d.weight)
-    coeff = (1.0 - lamw) / lamw if lamw > 1e-12 else (1.0 - lamw)
 
     inv = split_invariants(rho, d)
     if cls == "separable":
@@ -581,17 +567,16 @@ def verify_optimality(rho, d, tol=1e-8):
         groups = [
             (a, b) for i, a in enumerate(live) for b in live[i + 1 :] if not par[a, b]
         ]
-        # a single vector has s_min / s_max = 1 exactly, and its coefficient
-        # fails its test only by not being finite
-        _check_finite(lams)
+        # a single vector has s_min / s_max = 1 exactly
         if live:
             margin = 1.0
     else:
         anchor = d.pure if cls == "pure" else x1
         groups, dep = _ENTANGLED_FAMILIES[cls]
-    margin = min(margin, _independence_margin(zs, lams, groups, anchor, coeff))
+    margin = min(margin, _independence_margin(zs, groups, anchor))
     pairs = []
     if dep and rest > 0.0:
+        coeff = (1.0 - lamw) / lamw if lamw > 1e-12 else (1.0 - lamw)
         g = (1.0 - lamw) * float(lam[0]) / rest
         pairs = _dependent_pair_records(zs, lams, dep, x1, coeff, g)
 

@@ -11,9 +11,10 @@ comes from _eigh_desc, which checks nothing: herm_eig calls it after its
 checks, takagi and ppt_check on matrices Hermitian by construction.
 _checked_svd and _dual_basis take stacks only, (K, n, k), and run one
 batched SVD of the stack itself, which also gives the conditioning it
-is tested on, through the one condition test _check_condition.  No Gram
-matrix or other square of an input is formed, so no condition number
-is squared.
+is tested on.  No Gram matrix or other square of an input is formed, so
+no condition number is squared.  These are the certificate's two
+inverses, the dual frames and the 2x2 coefficient blocks, and the only
+places it raises on conditioning.
 
 The trailing lambdas of a low-rank state come out as exact zeros not
 because of the solver but because of one support cut, support(w):
@@ -106,12 +107,6 @@ def support(w):
     return w > SUPPORT_EPS * w.max(initial=0.0)
 
 
-def _check_finite(a):
-    """Raise NotHermitian when an entry of a matrix or a stack is not finite."""
-    if not np.isfinite(a).all():
-        raise NotHermitian("matrix has non-finite entries")
-
-
 def _checked_top(a):
     """Largest entry magnitude of a non-empty matrix, as a float; raises
     NotHermitian when it is not finite or exceeds MAX_ENTRY."""
@@ -197,34 +192,26 @@ _DEPENDENT = (DependentVectors, "gram reciprocal condition %.3e below 1e-12", 2)
 _SINGULAR = (SingularCoefficients, "reciprocal condition %.3e below 1e-12", 1)
 
 
-def _check_condition(rows, error, message, power):
-    """Raise NotHermitian when an entry of rows is not finite, then error
-    for the first row whose (min / max)**power drops below 1e-12.
+def _checked_svd(x, error, message, power):
+    """Thin SVD (u, s, vh) of each slice of a stack (K, n, k), after checks.
 
-    rows holds Python floats, one row per family or block: its
-    non-negative singular values, in any order.  A row with max 0 has
-    ratio 0.  The rows come from checked data, but an SVD or a product
-    of it can still overflow, so their finiteness is tested here.
+    Raises NotHermitian when an entry of x is not finite, then when a
+    singular value is not finite (the SVD of finite input can still
+    overflow), then error for the first slice whose (s_min / s_max)**power
+    drops below 1e-12.  A slice with s_max 0, or with more columns than
+    rows, has ratio 0.
     """
-    if not all(all(map(math.isfinite, row)) for row in rows):
+    if not np.isfinite(x).all():
         raise NotHermitian("matrix has non-finite entries")
-    for row in rows:
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    rows = s if x.shape[2] <= x.shape[1] else np.zeros_like(s)
+    if not np.isfinite(rows).all():
+        raise NotHermitian("matrix has non-finite entries")
+    for row in rows.tolist():
         top = max(row)
         rc = (min(row) / top if top > 0.0 else 0.0) ** power
         if rc < 1e-12:
             raise error(message % rc)
-
-
-def _checked_svd(x, error, message, power):
-    """Thin SVD (u, s, vh) of each slice of a stack (K, n, k), after checks.
-
-    Raises NotHermitian when an entry is not finite, and error through
-    _check_condition.  A slice with more columns than rows has ratio 0.
-    """
-    _check_finite(x)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    rows = s if x.shape[2] <= x.shape[1] else np.zeros_like(s)
-    _check_condition(rows.tolist(), error, message, power)
     return u, s, vh
 
 

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from lsd_toolkit.errors import (
-    DependentVectors,
     LsdToolkitError,
     NoPurePart,
     NotUnitTrace,
     PhaseConstraintViolated,
     RankMismatch,
-    SingularCoefficients,
 )
 from lsd_toolkit.lsd import (
     average_concurrence,
@@ -363,6 +361,11 @@ class TestPpt:
         assert res.separable
 
 
+def _failed_checks(rep):
+    """Names of the structural checks a report failed, sorted."""
+    return sorted(c.name for c in rep.structural if not c.passed)
+
+
 class TestVerifyOptimality:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_rejects_non_finite_or_negative_tol(self, tol):
@@ -408,11 +411,16 @@ class TestVerifyOptimality:
         assert rep.verdict
 
     def test_pure_verdict(self):
-        psi = np.sqrt(0.9) * E[:, 0] + np.sqrt(0.1) * E[:, 3]
-        rho = DensityMatrix(np.outer(psi, psi))
-        rep = verify_optimality(rho, ls_decompose(rho))
-        assert rep.verdict
-        assert rep.rank_class == "pure"
+        # near |00>, the margin of sqrt(1 - e)|00> + sqrt(e)|11> is about
+        # 0.4 sqrt(e): reported, not tested, so the split still certifies
+        for e in (0.1, 1e-12, 1e-14):
+            psi = np.sqrt(1.0 - e) * E[:, 0] + np.sqrt(e) * E[:, 3]
+            rho = DensityMatrix(np.outer(psi, psi))
+            rep = verify_optimality(rho, ls_decompose(rho))
+            assert rep.verdict
+            assert rep.rank_class == "pure"
+            if e < 0.1:
+                assert rep.independence_margin == pytest.approx(0.4 * np.sqrt(e), rel=1e-6)
 
     def test_separable_verdict(self):
         rho = sample_random(13, rank=4)
@@ -425,19 +433,27 @@ class TestVerifyOptimality:
         with pytest.raises(RankMismatch):
             verify_optimality(sample_random(1, rank=4), d)
 
-    def test_dependent_family_raises(self):
+    def test_dependent_family_is_rejected(self):
+        # a duplicated z makes the pair (z_0, z_1, x_1) dependent: the margin
+        # reports it, and the structural checks reject the split
         rho = sample_random(1, rank=4)
         d = ls_decompose(rho)
         zs = (d.zs[0], d.zs[0], d.zs[2], d.zs[3])
-        with pytest.raises(DependentVectors, match="gram reciprocal condition"):
-            verify_optimality(rho, dataclasses.replace(d, zs=zs))
+        rep = verify_optimality(rho, dataclasses.replace(d, zs=zs))
+        assert not rep.verdict
+        assert _failed_checks(rep) == ["ensemble-phases", "ensemble-sum"]
+        assert rep.independence_margin < 1e-15
 
-    def test_singular_coefficients_raise(self):
-        # weight 1 on an entangled class makes the anchor's coefficient 0
+    def test_weight_one_is_rejected(self):
+        # weight 1 on an entangled class makes the anchor's coefficient 0,
+        # which a full split, having no closed-form pair, never inverts;
+        # the wrong weight fails its own checks
         rho = sample_random(1, rank=4)
         d = ls_decompose(rho)
-        with pytest.raises(SingularCoefficients, match="reciprocal condition"):
-            verify_optimality(rho, dataclasses.replace(d, weight=1.0))
+        rep = verify_optimality(rho, dataclasses.replace(d, weight=1.0))
+        assert not rep.verdict
+        assert _failed_checks(rep) == ["reconstruction", "weight-identity"]
+        assert rep.independence_margin == verify_optimality(rho, d).independence_margin
 
     def test_rejects_shifted_weight(self):
         rho = sample_random(1, rank=4)
@@ -695,8 +711,8 @@ class TestInterlacing:
     """The margin reads only the families that can decide it.
 
     A single (z_a, anchor) is a column subset of an independent pair
-    (z_a, z_b, anchor), so its s_min / s_max and its coefficient ratio are
-    no smaller than the pair's; a separable single has ratio 1.
+    (z_a, z_b, anchor), so its s_min / s_max is no smaller than the
+    pair's; a separable single has ratio 1.
     """
 
     def test_every_single_lies_in_an_independent_pair(self):
@@ -754,23 +770,28 @@ class TestInterlacing:
         assert lsd._parallel_matrix(zs)[1].all()
         assert not verify_optimality(rho, dataclasses.replace(d, zs=zs)).verdict
 
-    def test_single_parallel_to_the_anchor_raises(self):
+    def test_single_parallel_to_the_anchor_is_rejected(self):
         rho = sample_random(1, rank=4)
         d = ls_decompose(rho)
         zs = d.zs.copy()
         zs[2] = 0.7 * wootters_basis(rho).xs[0]
-        with pytest.raises(DependentVectors, match="gram reciprocal condition"):
-            verify_optimality(rho, dataclasses.replace(d, zs=zs))
+        rep = verify_optimality(rho, dataclasses.replace(d, zs=zs))
+        assert not rep.verdict
+        assert _failed_checks(rep) == ["ensemble-phases", "ensemble-sum", "zero-concurrence"]
+        assert rep.independence_margin < 1e-15
 
-    def test_dependent_pair_is_reported_before_singular_coefficients(self):
-        # each single (z_a, x_1) is independent but has coefficient 0 at
-        # weight 1; the pair (z_0, z_0, x_1) is dependent, and the pairs
-        # are the only families of a full split
+    def test_dependent_pair_at_weight_one_is_rejected(self):
+        # both tampers at once: each is named by its own checks, and the
+        # margin is the dependent pair's
         rho = sample_random(1, rank=4)
         d = ls_decompose(rho)
         zs = (d.zs[0], d.zs[0], d.zs[2], d.zs[3])
-        with pytest.raises(DependentVectors):
-            verify_optimality(rho, dataclasses.replace(d, zs=zs, weight=1.0))
+        rep = verify_optimality(rho, dataclasses.replace(d, zs=zs, weight=1.0))
+        assert not rep.verdict
+        assert _failed_checks(rep) == [
+            "ensemble-phases", "ensemble-sum", "reconstruction", "weight-identity"
+        ]
+        assert rep.independence_margin < 1e-15
 
 
 # the array fields of LSDecomposition, in field order

@@ -14,7 +14,6 @@ from lsd_toolkit.matcore import (
     _DEPENDENT,
     _SINGULAR,
     MAX_ENTRY,
-    _check_condition,
     _checked_svd,
     _dual_basis,
     _real_embedding,
@@ -413,17 +412,25 @@ class TestStackedKernels:
             _checked_svd(coeffs, *_SINGULAR)
 
 
+def diagonal_slices(rows):
+    """A (K, 2, 2) stack whose slice i is diag(rows[i]): its singular values
+    are the magnitudes of the row."""
+    return np.stack([np.diag(np.array(row, dtype=complex)) for row in rows])
+
+
 class TestConditionTest:
-    """_check_condition: finiteness first, then the first failing row."""
+    """_checked_svd: finite input, then finite singular values, then the
+    first failing slice."""
 
     def test_row_with_max_zero_has_ratio_zero(self):
         with pytest.raises(SingularCoefficients, match="condition 0.000e"):
-            _check_condition([[1.0, 0.5], [0.0, 0.0]], *_SINGULAR)
-        _check_condition([[1.0, 0.5], [2.0, 1.0]], *_SINGULAR)
+            _checked_svd(diagonal_slices([[1.0, 0.5], [0.0, 0.0]]), *_SINGULAR)
+        _checked_svd(diagonal_slices([[1.0, 0.5], [2.0, 1.0]]), *_SINGULAR)
 
     def test_reports_the_first_failing_row(self):
+        stack = diagonal_slices([[1.0, 0.1], [1.0, 1e-7], [1.0, 0.0]])
         with pytest.raises(DependentVectors, match="condition 1.000e-14 below 1e-12"):
-            _check_condition([[1.0, 0.1], [1.0, 1e-7], [1.0, 0.0]], *_DEPENDENT)
+            _checked_svd(stack, *_DEPENDENT)
 
     def test_more_columns_than_rows_has_ratio_zero(self):
         # three vectors in C^2 are dependent whatever their singular values
@@ -436,4 +443,15 @@ class TestConditionTest:
     )
     def test_non_finite_entry_raises_before_a_singular_row(self, rows):
         with pytest.raises(NotHermitian, match="non-finite"):
-            _check_condition(rows, *_SINGULAR)
+            _checked_svd(diagonal_slices(rows), *_SINGULAR)
+
+    @pytest.mark.parametrize("first", [False, True], ids=["after", "before"])
+    def test_overflowing_slice_raises_before_a_singular_row(self, first):
+        # finite entries whose largest singular value overflows to inf
+        big = np.full((2, 2), 1.5e308, dtype=complex)
+        assert not np.isfinite(np.linalg.svd(big, compute_uv=False)).all()
+        singular = np.diag([1.0, 0.0]).astype(complex)
+        stack = np.stack([big, singular] if first else [singular, big])
+        with pytest.raises(NotHermitian, match="non-finite"):
+            _checked_svd(stack, *_SINGULAR)
+
