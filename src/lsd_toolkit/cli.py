@@ -176,18 +176,24 @@ def _params_from_args(args):
     """Parameters from --params, from --lambdas and the angles, or from --seed.
 
     Raises ValueError, naming the option, when an option is given that the
-    chosen source does not read.
+    chosen source does not read.  --seed is read by the random source
+    alone, which uses seed 0 when it is absent.
     """
-    given = [n for n in ("lambdas", "theta", "xi", "phi") if getattr(args, n) is not None]
+    # seed comes last, so given[0] is "seed" only when no other option is given
+    given = [
+        n for n in ("lambdas", "theta", "xi", "phi", "seed") if getattr(args, n) is not None
+    ]
     if args.params:
         if given:
             raise ValueError("--%s is not read beside --params" % given[0])
         obj, _, _ = _load_json(args.params)
         return from_json(CosetParams, obj)
     if args.lambdas is None:
-        if given:
+        if given and given[0] != "seed":
             raise ValueError("--%s is read only with --lambdas" % given[0])
-        return _random_params(args.seed)
+        return _random_params(args.seed or 0)
+    if args.seed is not None:
+        raise ValueError("--seed is not read beside --lambdas")
     # CosetParams converts each entry to float and checks the lengths
     return CosetParams(
         lambdas=args.lambdas.split(","),
@@ -295,7 +301,8 @@ def _build_parser():
     pg.add_argument("--theta", help="two angles, comma-separated" + with_lambdas)
     pg.add_argument("--xi", help="two non-negative angles" + with_lambdas)
     pg.add_argument("--phi", help="two angles, comma-separated" + with_lambdas)
-    pg.add_argument("--seed", type=int, default=0, help="seed for random parameters")
+    random_only = " (without --params and --lambdas only; default 0)"
+    pg.add_argument("--seed", type=int, help="seed for random parameters" + random_only)
     _add_output_args(pg)
     pg.set_defaults(func=cmd_generate)
 

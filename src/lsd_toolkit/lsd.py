@@ -106,12 +106,28 @@ class LSDecomposition:
             object.__setattr__(self, name, arr)
 
 
+def _coefficients(phases):
+    """The mixing matrix (1/2) H4[alpha,j] e^{i theta_j} of a phase array."""
+    return 0.5 * H4 * np.exp(1j * phases)
+
+
+# nearly every split uses the default phases, so their matrix is built once
+_DEFAULT_COEF = _coefficients(DEFAULT_PHASES)
+_DEFAULT_LIST = DEFAULT_PHASES.tolist()
+
+
 def _build_zs(xpp, phases):
-    """Rows z_alpha = (1/2) sum_j H4[alpha,j] e^{i theta_j} x''_j, summed in j order."""
-    coef = 0.5 * H4 * np.exp(1j * np.array(phases, dtype=float))
-    t = coef[:, :, None] * xpp[None, :, :]
+    """Rows z_alpha = (1/2) sum_j H4[alpha,j] e^{i theta_j} x''_j, summed in j order.
+
+    phases is a float array.  The products are laid out in C order
+    whatever the layout of xpp: a reduction over axis 1 of a C-ordered
+    stack adds whole rows one after another, while on another layout
+    numpy may pair the terms instead.
+    """
+    coef = _DEFAULT_COEF if phases.tolist() == _DEFAULT_LIST else _coefficients(phases)
+    t = np.multiply(coef[:, :, None], xpp[None], order="C")
     # added from 0 in j order, as Python's sum does: the last bits depend on it
-    return 0 + t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+    return np.add.reduce(t, axis=1, initial=0)
 
 
 def _optimal_weight(w):
@@ -163,7 +179,7 @@ def _closure_phases(lam):
     if c <= 1e-14 * max(a, 1.0):
         # two-sided case, lambda_1 = lambda_2 up to the separability gate
         return np.array([0.0, np.pi / 2.0, 0.0, 0.0])
-    cosmu = float(np.clip((c * c - a * a - b * b) / (2.0 * a * b), -1.0, 1.0))
+    cosmu = min(max((c * c - a * a - b * b) / (2.0 * a * b), -1.0), 1.0)
     mu = float(np.arccos(cosmu))
     v = -(a + b * np.exp(1j * mu)) / c
     th3 = 0.5 * float(np.angle(v))
@@ -275,9 +291,9 @@ def split_invariants(rho, d):
     """
     recon = d.weight * d.sep.m
     if d.pure is not None:
-        recon = recon + (1.0 - d.weight) * np.outer(d.pure, np.conj(d.pure))
+        recon = recon + (1.0 - d.weight) * (d.pure[:, None] * np.conj(d.pure))
     zsum = _outer_sum(d.zs)
-    zc = np.abs(np.diag(_flip_form(d.zs))).max()
+    zc = np.abs(_flip_form(d.zs).diagonal()).max()
     boundary = None
     if d.rank_class != "separable":
         lpp = d.lambdas_pp
@@ -364,8 +380,9 @@ def _parallel_matrix(zs):
     or when one of them is zero.  One Gram product and one norm per row
     serve every pair.
     """
-    norms = np.linalg.norm(zs, axis=1)
-    nn = np.outer(norms, norms)
+    # np.linalg.norm(zs, axis=1), as numpy computes it
+    norms = np.sqrt(np.add.reduce((zs.conj() * zs).real, axis=1))
+    nn = norms[:, None] * norms
     cos = np.ones((4, 4))
     # a zero row divides nothing, so it raises no floating-point warning
     np.divide(np.abs(np.conj(zs) @ zs.T), nn, out=cos, where=nn > 0.0)
@@ -376,20 +393,21 @@ def _parallel_matrix(zs):
 # z_a + z_b = x''_1, which get the closed-form check.  The full and rank3 rows list their
 # independent pairs, which hold every single (see _independence_margin); rank2 and pure
 # have none and list their singles.  The pure split's fixed partner has z_0 = z_1 and
-# z_2 = z_3, and no pair conditions at weight 0
+# z_2 = z_3, and no pair conditions at weight 0.  The groups are index arrays, built once
 _ENTANGLED_FAMILIES = {
-    "full": (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), ()),
-    "rank3": (((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 3), (1, 2))),
-    "rank2": (((0,), (2,)), ((0, 2),)),
-    "pure": (((0,), (2,)), ()),
+    "full": (np.array(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), ()),
+    "rank3": (np.array(((0, 1), (0, 2), (1, 3), (2, 3))), ((0, 3), (1, 2))),
+    "rank2": (np.array(((0,), (2,))), ((0, 2),)),
+    "pure": (np.array(((0,), (2,))), ()),
 }
 
 
 def _independence_margin(zs, groups, anchor):
     """Smallest s_min / s_max over the families (z_a for a in group, then anchor).
 
-    The groups have one size and fill one stack, vectors as columns and
-    the anchor last, for one batched SVD; no groups give inf.
+    The groups, a sequence or an index array, have one size and fill one
+    stack, vectors as columns and the anchor last, for one batched SVD;
+    no groups give inf.
 
     The caller passes only the families that can decide the margin.  A
     single (z_a, anchor) is a column subset of an independent pair (z_a,
@@ -398,9 +416,9 @@ def _independence_margin(zs, groups, anchor):
     pair's.  So where every single lies in a pair, the singles do not
     decide the margin.
     """
-    if not groups:
+    if len(groups) == 0:
         return math.inf
-    idx = np.array(groups)
+    idx = np.asarray(groups)
     k = idx.shape[1]
     fams = np.empty((len(idx), 4, k if anchor is None else k + 1), dtype=complex)
     fams[:, :, :k] = zs[idx].swapaxes(1, 2)
@@ -531,7 +549,9 @@ def verify_optimality(rho, d, tol=1e-8):
         predicted = 0.0
     else:
         predicted, rest, _ = _optimal_weight(w)
-    lpp = float(np.abs(_flip_form(d.xpp) - np.diag(d.lambdas_pp)).max())
+    form = _flip_form(d.xpp)
+    form.flat[::5] -= d.lambdas_pp
+    lpp = float(np.abs(form).max())
     rebuilt = float(np.abs(d.zs - _build_zs(d.xpp, d.phases)).max())
     structural = [
         ("reconstruction", inv.reconstruction),

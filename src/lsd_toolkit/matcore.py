@@ -178,7 +178,7 @@ def takagi(tau):
     v = z[0::2, :n] + 1j * z[1::2, :n]
     keep = support(s[:n])
     lam = np.where(keep, s[:n], 0.0)
-    r = int(keep.sum())
+    r = np.count_nonzero(keep)
     if r < n:
         q, _ = np.linalg.qr(np.hstack([v[:, :r], np.eye(n)]))
         v[:, r:] = q[:, r:n]

@@ -50,10 +50,15 @@ def _family(vs, name):
 
 
 def _outer_sum(vs):
-    """Sum of |v><v| over the four rows v of vs, added in row order."""
-    t = vs[:, :, None] * np.conj(vs)[:, None, :]
+    """Sum of |v><v| over the four rows v of vs, added in row order.
+
+    The products are laid out in C order whatever the layout of vs: a
+    reduction over axis 0 of a C-ordered stack adds whole rows one after
+    another, while on another layout numpy may pair the terms instead.
+    """
+    t = np.multiply(vs[:, :, None], np.conj(vs)[:, None, :], order="C")
     # added from 0 in row order, as Python's sum does: the last bits depend on it
-    return 0 + t[0] + t[1] + t[2] + t[3]
+    return np.add.reduce(t, axis=0, initial=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +81,7 @@ class DensityMatrix:
         if arr.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
         w, v = herm_eig(arr)
-        tr = complex(np.trace(arr))
+        tr = complex(arr.trace())
         if abs(tr - 1.0) > 1e-10:
             raise NotUnitTrace("|trace - 1| = %.3e exceeds 1e-10" % abs(tr - 1.0))
         if w[-1] < -1e-10:

@@ -89,6 +89,9 @@ class WoottersDecomposition:
         object.__setattr__(self, "lambdas", lam)
 
 
+_ROWS = np.arange(4)
+
+
 def wootters_basis(rho):
     """Tilde-orthogonal decomposition of a state.
 
@@ -115,14 +118,13 @@ def wootters_basis(rho):
     u, lam = takagi(_flip_form(vs))
     xs = np.conj(u) @ vs
     mods = np.abs(xs)
-    rows = np.arange(4)
     k = mods.argmax(axis=1)
-    c, cmod = xs[rows, k], mods[rows, k]
-    eps = 1e-13 * cmod
-    flip = (cmod != 0.0) & (
-        (c.real < -eps) | ((np.abs(c.real) <= eps) & (c.imag < 0.0))
-    )
-    xs[flip] = -xs[flip]
+    # four signs are decided faster on Python numbers than on arrays
+    tops = zip(xs[_ROWS, k].tolist(), mods[_ROWS, k].tolist())
+    for i, (c, cmod) in enumerate(tops):
+        eps = 1e-13 * cmod
+        if cmod != 0.0 and (c.real < -eps or (abs(c.real) <= eps and c.imag < 0.0)):
+            np.negative(xs[i], out=xs[i])
     w = WoottersDecomposition(xs=xs, lambdas=lam)
     _read_only(w.xs)
     object.__setattr__(rho, "_basis", w)

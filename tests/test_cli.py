@@ -196,6 +196,8 @@ class TestGenerate:
             (["--phi", "0,1"], "--phi"),
             (["--params", str(pfile), *lambdas], "--lambdas"),
             (["--params", str(pfile), "--xi", "0,0"], "--xi"),
+            (["--params", str(pfile), "--seed", "9"], "--seed"),
+            ([*lambdas, "--seed", "5"], "--seed"),
         ):
             assert main(["generate", *argv, "--output", "/dev/null"]) == 2
             assert named in capsys.readouterr().err

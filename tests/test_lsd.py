@@ -37,6 +37,8 @@ from lsd_toolkit.qstate import (
 from lsd_toolkit.suites import _random_params
 from lsd_toolkit.wootters import concurrence, wootters_basis
 
+from layouts import layouts, signed_zero_families
+
 E = np.eye(4)
 PHI_P = (E[:, 0] + E[:, 3]) / np.sqrt(2.0)
 PSI_P = (E[:, 1] + E[:, 2]) / np.sqrt(2.0)
@@ -98,6 +100,27 @@ class TestHadamardFrame:
                 )
                 bound = 8 * np.finfo(float).eps * np.abs(d.xpp).max()
                 assert np.abs(lsd._build_zs(d.xpp, phases) - expect).max() <= bound
+
+    def test_build_zs_matches_the_add_chain_bit_for_bit(self):
+        # the add chain _build_zs replaced, kept as its reference.  It adds
+        # whole rows, so its bits do not depend on the layout of xpp, and
+        # tobytes tells a signed zero apart.  The layouts include Fortran
+        # order, on which an unordered reduction over axis 1 pairs the terms
+        def chain(xpp, phases):
+            coef = 0.5 * H4 * np.exp(1j * np.array(phases, dtype=float))
+            t = coef[:, :, None] * xpp[None, :, :]
+            return 0 + t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+
+        splits = [ls_decompose(sample_random(s, rank=1 + s % 4)) for s in range(8)]
+        splits += [ls_decompose(werner(0.2)), ls_decompose(pure_state())]
+        families = [d.xpp for d in splits] + signed_zero_families(8)
+        phase_sets = [d.phases for d in splits] + [np.array([0.3, -1.1, 2.0, -0.0])]
+        assert any(not np.array_equal(ph, DEFAULT_PHASES) for ph in phase_sets)
+        for xpp in families:
+            for phases in phase_sets:
+                expect = chain(xpp, phases).tobytes()
+                for x in (xpp, *layouts(xpp)):
+                    assert lsd._build_zs(x, phases).tobytes() == expect
 
 
 class TestClassification:
@@ -720,7 +743,7 @@ class TestInterlacing:
         # the full and rank3 rows list pairs only, the rank2 and pure rows singles
         for cls, size in (("full", 2), ("rank3", 2), ("rank2", 1), ("pure", 1)):
             groups, _ = table[cls]
-            assert groups and all(len(g) == size for g in groups)
+            assert len(groups) and all(len(g) == size for g in groups)
         assert _uncovered_singles(table) == []
         # the check is not vacuous: a rank3 row without the pairs through
         # z_0 leaves that single to itself

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lsd_toolkit import qstate
-from lsd_toolkit.coset import CosetParams, build_x, coset_generate, y_from_x
+from lsd_toolkit import coset, qstate
+from lsd_toolkit.coset import CosetParams, build_x, coset_generate, y_factor, y_from_x
 from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace, ResidualCheckFailed
 from lsd_toolkit.lsd import (
     H4,
@@ -34,6 +34,8 @@ from lsd_toolkit.matcore import SUPPORT_EPS
 from lsd_toolkit.suites import _random_params, run_lsd_suite, run_wootters_suite
 from lsd_toolkit.wootters import WoottersDecomposition, tau_matrix, wootters_basis
 
+from layouts import layouts, signed_zero_families
+
 E = np.eye(4)
 PHI_P = (E[:, 0] + E[:, 3]) / np.sqrt(2.0)
 PSI_P = (E[:, 1] + E[:, 2]) / np.sqrt(2.0)
@@ -51,6 +53,19 @@ def graded_factor(seed, rank):
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     g = g * 10.0 ** -rng.uniform(0.0, 3.0, rank)
     return g / np.linalg.norm(g)
+
+
+def outer_sum_chain(vs):
+    """The numpy add chain _outer_sum replaced: whole rows, added from 0."""
+    t = vs[:, :, None] * np.conj(vs)[:, None, :]
+    return 0 + t[0] + t[1] + t[2] + t[3]
+
+
+def coset_frame(params):
+    """The unnormalized frame x_i of coset_generate, built as it builds it."""
+    lam = np.array(params.lambdas, dtype=float)
+    xm = coset._O_ETA_INV @ y_factor(params)
+    return np.sqrt(lam)[:, None] * xm.T
 
 
 def squeezed_params(seed):
@@ -251,6 +266,28 @@ class TestVectorFamilies:
             expect = sum(np.outer(v, np.conj(v)) for v in vs)
             bound = 8 * np.finfo(float).eps * np.abs(vs).max() ** 2
             assert np.abs(_outer_sum(vs) - expect).max() <= bound
+
+    def test_outer_sum_matches_the_add_chain_bit_for_bit(self):
+        # the add chain _outer_sum replaced, kept as its reference.  It adds
+        # whole rows, so its bits do not depend on the layout of vs, and
+        # tobytes tells a signed zero apart.  The layouts include Fortran
+        # order, on which an unordered reduction over axis 0 pairs the terms
+        families = [eigen_ensemble(sample_random(s, rank=1 + s % 4)) for s in range(8)]
+        families += signed_zero_families(8)
+        families.append(coset_frame(_random_params(4)))
+        for vs in families:
+            expect = outer_sum_chain(vs).tobytes()
+            for v in (vs, *layouts(vs)):
+                assert _outer_sum(v).tobytes() == expect
+
+    def test_coset_frame_is_the_generators_own(self):
+        # keeps the test above on the layout coset_generate sums: a frame
+        # rebuilt as it builds its own, its columns scaled into rows
+        res = coset_generate(_random_params(4))
+        xs_raw = coset_frame(_random_params(4))
+        assert not xs_raw.flags.c_contiguous
+        expect = outer_sum_chain(xs_raw) / float(sum(np.vdot(x, x).real for x in xs_raw))
+        assert expect.tobytes() == res.rho.m.tobytes()
 
 
 class TestSpinFlip:
