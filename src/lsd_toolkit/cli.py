@@ -179,17 +179,16 @@ def _params_from_args(args):
     chosen source does not read.  --seed is read by the random source
     alone, which uses seed 0 when it is absent.
     """
-    # seed comes last, so given[0] is "seed" only when no other option is given
-    given = [
-        n for n in ("lambdas", "theta", "xi", "phi", "seed") if getattr(args, n) is not None
-    ]
+    given = [n for n in ("lambdas", "theta", "xi", "phi") if getattr(args, n) is not None]
     if args.params:
         if given:
             raise ValueError("--%s is not read beside --params" % given[0])
+        if args.seed is not None:
+            raise ValueError("--seed is not read beside --params")
         obj, _, _ = _load_json(args.params)
         return from_json(CosetParams, obj)
     if args.lambdas is None:
-        if given and given[0] != "seed":
+        if given:
             raise ValueError("--%s is read only with --lambdas" % given[0])
         return _random_params(args.seed or 0)
     if args.seed is not None:

@@ -106,25 +106,13 @@ class LSDecomposition:
             object.__setattr__(self, name, arr)
 
 
-def _coefficients(phases):
-    """The mixing matrix (1/2) H4[alpha,j] e^{i theta_j} of a phase array."""
-    return 0.5 * H4 * np.exp(1j * phases)
-
-
-# nearly every split uses the default phases, so their matrix is built once
-_DEFAULT_COEF = _coefficients(DEFAULT_PHASES)
-_DEFAULT_LIST = DEFAULT_PHASES.tolist()
-
-
 def _build_zs(xpp, phases):
     """Rows z_alpha = (1/2) sum_j H4[alpha,j] e^{i theta_j} x''_j, summed in j order.
 
-    phases is a float array.  The products are laid out in C order
-    whatever the layout of xpp: a reduction over axis 1 of a C-ordered
-    stack adds whole rows one after another, while on another layout
-    numpy may pair the terms instead.
+    The products are laid out in C order whatever the layout of xpp, so
+    that the reduction adds whole rows in turn instead of pairing terms.
     """
-    coef = _DEFAULT_COEF if phases.tolist() == _DEFAULT_LIST else _coefficients(phases)
+    coef = 0.5 * H4 * np.exp(1j * np.array(phases, dtype=float))
     t = np.multiply(coef[:, :, None], xpp[None], order="C")
     # added from 0 in j order, as Python's sum does: the last bits depend on it
     return np.add.reduce(t, axis=1, initial=0)
@@ -393,21 +381,20 @@ def _parallel_matrix(zs):
 # z_a + z_b = x''_1, which get the closed-form check.  The full and rank3 rows list their
 # independent pairs, which hold every single (see _independence_margin); rank2 and pure
 # have none and list their singles.  The pure split's fixed partner has z_0 = z_1 and
-# z_2 = z_3, and no pair conditions at weight 0.  The groups are index arrays, built once
+# z_2 = z_3, and no pair conditions at weight 0
 _ENTANGLED_FAMILIES = {
-    "full": (np.array(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), ()),
-    "rank3": (np.array(((0, 1), (0, 2), (1, 3), (2, 3))), ((0, 3), (1, 2))),
-    "rank2": (np.array(((0,), (2,))), ((0, 2),)),
-    "pure": (np.array(((0,), (2,))), ()),
+    "full": (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), ()),
+    "rank3": (((0, 1), (0, 2), (1, 3), (2, 3)), ((0, 3), (1, 2))),
+    "rank2": (((0,), (2,)), ((0, 2),)),
+    "pure": (((0,), (2,)), ()),
 }
 
 
 def _independence_margin(zs, groups, anchor):
     """Smallest s_min / s_max over the families (z_a for a in group, then anchor).
 
-    The groups, a sequence or an index array, have one size and fill one
-    stack, vectors as columns and the anchor last, for one batched SVD;
-    no groups give inf.
+    The groups have one size and fill one stack, vectors as columns and
+    the anchor last, for one batched SVD; no groups give inf.
 
     The caller passes only the families that can decide the margin.  A
     single (z_a, anchor) is a column subset of an independent pair (z_a,
@@ -416,9 +403,9 @@ def _independence_margin(zs, groups, anchor):
     pair's.  So where every single lies in a pair, the singles do not
     decide the margin.
     """
-    if len(groups) == 0:
+    if not groups:
         return math.inf
-    idx = np.asarray(groups)
+    idx = np.array(groups)
     k = idx.shape[1]
     fams = np.empty((len(idx), 4, k if anchor is None else k + 1), dtype=complex)
     fams[:, :, :k] = zs[idx].swapaxes(1, 2)

@@ -52,9 +52,8 @@ def _family(vs, name):
 def _outer_sum(vs):
     """Sum of |v><v| over the four rows v of vs, added in row order.
 
-    The products are laid out in C order whatever the layout of vs: a
-    reduction over axis 0 of a C-ordered stack adds whole rows one after
-    another, while on another layout numpy may pair the terms instead.
+    The products are laid out in C order whatever the layout of vs, so
+    that the reduction adds whole rows in turn instead of pairing terms.
     """
     t = np.multiply(vs[:, :, None], np.conj(vs)[:, None, :], order="C")
     # added from 0 in row order, as Python's sum does: the last bits depend on it

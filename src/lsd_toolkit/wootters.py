@@ -89,9 +89,6 @@ class WoottersDecomposition:
         object.__setattr__(self, "lambdas", lam)
 
 
-_ROWS = np.arange(4)
-
-
 def wootters_basis(rho):
     """Tilde-orthogonal decomposition of a state.
 
@@ -118,9 +115,10 @@ def wootters_basis(rho):
     u, lam = takagi(_flip_form(vs))
     xs = np.conj(u) @ vs
     mods = np.abs(xs)
+    rows = np.arange(4)
     k = mods.argmax(axis=1)
     # four signs are decided faster on Python numbers than on arrays
-    tops = zip(xs[_ROWS, k].tolist(), mods[_ROWS, k].tolist())
+    tops = zip(xs[rows, k].tolist(), mods[rows, k].tolist())
     for i, (c, cmod) in enumerate(tops):
         eps = 1e-13 * cmod
         if cmod != 0.0 and (c.real < -eps or (abs(c.real) <= eps and c.imag < 0.0)):
