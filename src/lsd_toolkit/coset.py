@@ -188,8 +188,8 @@ def coset_generate(params):
     s = float(np.vdot(xm, xm * (lam / lam[0])).real)
     if not _FLOAT.tiny / s <= lam[0] <= 0.5 * _FLOAT.max / s:
         raise ValueError("lambda_1 = %.3e puts the trace factor out of range" % lam[0])
+    t = float(lam[0]) * s
     xs_raw = np.sqrt(lam)[:, None] * xm.T
-    t = float(sum(np.vdot(x, x).real for x in xs_raw))
     rho = DensityMatrix(_outer_sum(xs_raw) / t)
     w = WoottersDecomposition(xs=xs_raw / np.sqrt(t), lambdas=lam / t)
     return CosetResult(rho=rho, wootters=w, trace_factor=t)

@@ -107,15 +107,8 @@ class LSDecomposition:
 
 
 def _build_zs(xpp, phases):
-    """Rows z_alpha = (1/2) sum_j H4[alpha,j] e^{i theta_j} x''_j, summed in j order.
-
-    The products are laid out in C order whatever the layout of xpp, so
-    that the reduction adds whole rows in turn instead of pairing terms.
-    """
-    coef = 0.5 * H4 * np.exp(1j * np.array(phases, dtype=float))
-    t = np.multiply(coef[:, :, None], xpp[None], order="C")
-    # added from 0 in j order, as Python's sum does: the last bits depend on it
-    return np.add.reduce(t, axis=1, initial=0)
+    """Rows z_alpha = (1/2) sum_j H4[alpha,j] e^{i theta_j} x''_j."""
+    return (0.5 * H4 * np.exp(1j * np.array(phases, dtype=float))) @ xpp
 
 
 def _optimal_weight(w):
@@ -411,8 +404,7 @@ def _independence_margin(zs, groups, anchor):
     fams[:, :, :k] = zs[idx].swapaxes(1, 2)
     if anchor is not None:
         fams[:, :, k] = anchor
-    # u and vh are unused, but an SVD without them rounds s differently
-    _, s, _ = np.linalg.svd(fams, full_matrices=False)
+    s = np.linalg.svd(fams, compute_uv=False)
     return float((s[:, -1] / s[:, 0]).min())
 
 
@@ -541,28 +533,23 @@ def verify_optimality(rho, d, tol=1e-8):
     lpp = float(np.abs(form).max())
     rebuilt = float(np.abs(d.zs - _build_zs(d.xpp, d.phases)).max())
     structural = [
-        ("reconstruction", inv.reconstruction),
-        ("weight-identity", abs(lamw - predicted)),
-        ("ensemble-sum", inv.ensemble_sum),
-        ("zero-concurrence", inv.zero_concurrence),
+        ("reconstruction", inv.reconstruction, tol),
+        ("weight-identity", abs(lamw - predicted), tol),
+        ("ensemble-sum", inv.ensemble_sum, tol),
+        ("zero-concurrence", inv.zero_concurrence, tol),
     ]
     if inv.boundary is not None:
-        structural.append(("boundary", inv.boundary))
-    structural += [("lambdas-pp", lpp), ("ensemble-phases", rebuilt)]
+        structural.append(("boundary", inv.boundary, tol))
+    structural += [
+        ("lambdas-pp", lpp, tol),
+        ("ensemble-phases", rebuilt, tol),
+        ("separable-ppt", max(0.0, -ppt_check(d.sep).min_pt_eigenvalue), 1e-10),
+    ]
 
     checks = [
-        StructuralCheck(name=n, residual=r, tol=tol, passed=bool(r <= tol))
-        for n, r in structural
+        StructuralCheck(name=n, residual=r, tol=t, passed=bool(r <= t))
+        for n, r, t in structural
     ]
-    ppt = ppt_check(d.sep)
-    checks.append(
-        StructuralCheck(
-            name="separable-ppt",
-            residual=max(0.0, -ppt.min_pt_eigenvalue),
-            tol=1e-10,
-            passed=bool(ppt.separable),
-        )
-    )
 
     zs = d.zs
     lams = [float(np.vdot(z, z).real) for z in zs]

@@ -50,14 +50,8 @@ def _family(vs, name):
 
 
 def _outer_sum(vs):
-    """Sum of |v><v| over the four rows v of vs, added in row order.
-
-    The products are laid out in C order whatever the layout of vs, so
-    that the reduction adds whole rows in turn instead of pairing terms.
-    """
-    t = np.multiply(vs[:, :, None], np.conj(vs)[:, None, :], order="C")
-    # added from 0 in row order, as Python's sum does: the last bits depend on it
-    return np.add.reduce(t, axis=0, initial=0)
+    """Sum of |v><v| over the four rows v of vs."""
+    return vs.T @ np.conj(vs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,6 @@ from .coset import (
 from .lsd import average_concurrence, ls_decompose, verify_optimality
 from .matcore import _checked_tol
 from .qstate import (
-    DensityMatrix,
     _flip_form,
     _outer_sum,
     lambda_spectrum,
@@ -101,15 +100,8 @@ def run_wootters_suite(n=200, seed=0, tol=None):
     return _run(specs, tol, rows)
 
 
-def _random_pure(seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, np.conj(v)))
-
-
 def _lsd_case(s, k, cert_tol):
-    rho = _random_pure(s) if k % 7 == 3 else sample_random(s, rank=2 + k % 3)
+    rho = sample_random(s, rank=1 if k % 7 == 3 else 2 + k % 3)
     d = ls_decompose(rho)
     rep = verify_optimality(rho, d, tol=cert_tol)
     checks = {c.name: c.residual for c in rep.structural}

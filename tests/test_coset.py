@@ -34,6 +34,7 @@ from lsd_toolkit.qstate import (
     lambda_spectrum,
     sample_random,
     SIGMA_YY,
+    to_json,
 )
 from lsd_toolkit.suites import _random_params
 from lsd_toolkit.wootters import concurrence, wootters_basis
@@ -260,6 +261,11 @@ class TestCosetGenerate:
         for s in range(100):
             res = coset_generate(_random_params(s))
             assert verify_optimality(res.rho, ls_decompose(res.rho)).verdict, s
+
+    def test_equal_params_give_equal_bytes(self):
+        for s in range(12):
+            texts = [json.dumps(to_json(coset_generate(_random_params(s)))) for _ in range(2)]
+            assert texts[0] == texts[1]
 
     def test_zero_state(self):
         with pytest.raises(ZeroState):

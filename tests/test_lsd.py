@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from lsd_toolkit.errors import (
+    DependentVectors,
     LsdToolkitError,
     NoPurePart,
     NotUnitTrace,
     PhaseConstraintViolated,
     RankMismatch,
+    SingularCoefficients,
 )
 from lsd_toolkit.lsd import (
     average_concurrence,
@@ -37,7 +39,7 @@ from lsd_toolkit.qstate import (
 from lsd_toolkit.suites import _random_params
 from lsd_toolkit.wootters import concurrence, wootters_basis
 
-from layouts import layouts, signed_zero_families
+from layouts import layouts
 
 E = np.eye(4)
 PHI_P = (E[:, 0] + E[:, 3]) / np.sqrt(2.0)
@@ -88,9 +90,9 @@ class TestHadamardFrame:
         assert np.max(np.abs(ph - [1.0, -1.0, -1.0, -1.0])) < 1e-15
 
     def test_build_zs_matches_the_python_sum(self):
-        # the Python sum _build_zs replaced, kept as its reference; it adds
-        # the same products in the same j order, so a few ulp bound it on a
-        # numpy build that rounds a complex product differently
+        # the Python sum _build_zs replaced, kept as its reference.  numpy
+        # may add the products in any order, and the order may depend on the
+        # layout of xpp, so every layout is held to a few ulp of the sum
         for seed in range(20):
             d = ls_decompose(sample_random(seed, rank=1 + seed % 4))
             for phases in (d.phases, DEFAULT_PHASES):
@@ -99,27 +101,8 @@ class TestHadamardFrame:
                     [sum(c * x for c, x in zip(row, d.xpp)) for row in coef]
                 )
                 bound = 8 * np.finfo(float).eps * np.abs(d.xpp).max()
-                assert np.abs(lsd._build_zs(d.xpp, phases) - expect).max() <= bound
-
-    def test_build_zs_matches_the_add_chain_bit_for_bit(self):
-        # the add chain _build_zs replaced, kept as its reference.  It adds
-        # whole rows, so its bits do not depend on the layout of xpp, and
-        # tobytes tells a signed zero apart.  The layouts include Fortran
-        # order, on which an unordered reduction over axis 1 pairs the terms
-        def chain(xpp, phases):
-            coef = 0.5 * H4 * np.exp(1j * np.array(phases, dtype=float))
-            t = coef[:, :, None] * xpp[None, :, :]
-            return 0 + t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
-
-        splits = [ls_decompose(sample_random(s, rank=1 + s % 4)) for s in range(8)]
-        splits += [ls_decompose(werner(0.2)), ls_decompose(pure_state())]
-        families = [d.xpp for d in splits] + signed_zero_families(8)
-        phase_sets = [d.phases for d in splits] + [np.array([0.3, -1.1, 2.0, -0.0])]
-        for xpp in families:
-            for phases in phase_sets:
-                expect = chain(xpp, phases).tobytes()
-                for x in (xpp, *layouts(xpp)):
-                    assert lsd._build_zs(x, phases).tobytes() == expect
+                for x in (d.xpp, *layouts(d.xpp)):
+                    assert np.abs(lsd._build_zs(x, phases) - expect).max() <= bound
 
 
 class TestClassification:
@@ -491,6 +474,51 @@ class TestVerifyOptimality:
         assert not rep.verdict
 
 
+def _condition(exc):
+    """The reciprocal condition a certificate raise names in its message."""
+    return float(str(exc.value).split("condition ")[1].split()[0])
+
+
+class TestCertificateRaises:
+    """The certificate's two raises, reached through verify_optimality."""
+
+    def test_dependent_pair_raises_dependent_vectors(self):
+        # z_3 = 2 z_0 makes the rank3 pair (0, 3) parallel, so it has no dual frame
+        rho = sample_random(0, rank=3)
+        d = ls_decompose(rho)
+        zs = (d.zs[0], d.zs[1], d.zs[2], 2.0 * d.zs[0])
+        with pytest.raises(DependentVectors, match="below 1e-12") as exc:
+            verify_optimality(rho, dataclasses.replace(d, zs=zs))
+        assert _condition(exc) <= 1e-13
+
+    def test_singular_block_raises_singular_coefficients(self):
+        # weight 1e-11 puts coeff = (1 - w) / w near 1e11 on the rank2 pair's
+        # coefficient block, and a shorter z_0 makes that block's c c^dag term
+        # dominate its diagonal; the pair itself stays well conditioned
+        rho = sample_random(0, rank=2)
+        d = ls_decompose(rho)
+        zs = (0.1 * d.zs[0], d.zs[1], d.zs[2], d.zs[3])
+        with pytest.raises(SingularCoefficients, match="below 1e-12") as exc:
+            verify_optimality(rho, dataclasses.replace(d, zs=zs, weight=1e-11))
+        assert _condition(exc) <= 1e-13
+
+
+class TestRepeatability:
+    """Equal fresh inputs give the same bytes: the benchmark's outcomes repeat."""
+
+    def test_split_and_certificate_repeat(self):
+        states = [sample_random(s, rank=1 + s % 4).m for s in range(12)]
+        states += [werner(0.2).m, werner(0.8).m, exotic_rank2().m]
+        for m in states:
+            texts = []
+            for _ in range(2):
+                rho = DensityMatrix(np.array(m))
+                d = ls_decompose(rho)
+                rep = verify_optimality(rho, d)
+                texts.append(json.dumps([to_json(d), to_json(rep)]))
+            assert texts[0] == texts[1]
+
+
 def _mutant(kind, d, rng):
     """d with one field perturbed and zs not rebuilt; None where kind is a no-op."""
     big = int(np.argmax([np.linalg.norm(z) for z in d.zs]))
@@ -695,7 +723,7 @@ class TestStackedCertificate:
             _assert_records_close(got, want)
         ratios = []
         for fam in families:
-            s = np.linalg.svd(np.column_stack(fam), full_matrices=False)[1]
+            s = np.linalg.svd(np.column_stack(fam), compute_uv=False)
             ratios.append(s[-1] / s[0])
         assert rep.independence_margin == min(ratios)
 
@@ -761,7 +789,7 @@ class TestInterlacing:
             families, _ = _ref_families(rho, d)
             ratios = []
             for fam in families:
-                s = np.linalg.svd(np.column_stack(fam), full_matrices=False)[1]
+                s = np.linalg.svd(np.column_stack(fam), compute_uv=False)
                 ratios.append(s[-1] / s[0])
             assert rep.independence_margin == min(ratios)
             classes.add(d.rank_class)

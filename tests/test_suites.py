@@ -119,7 +119,6 @@ class TestRun:
 
         # every case starts by drawing its state or its parameters
         monkeypatch.setattr(suites, "sample_random", no_case)
-        monkeypatch.setattr(suites, "_random_pure", no_case)
         monkeypatch.setattr(suites, "_random_params", no_case)
         with pytest.raises(AssertionError, match="a case ran"):
             suite(n=1, tol=1e-9)
