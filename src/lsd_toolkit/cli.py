@@ -31,9 +31,9 @@ from .lsd import (
     verify_optimality,
 )
 from .matcore import _checked_tol
-from .qstate import DensityMatrix, from_json, lambda_spectrum, to_json
+from .qstate import DensityMatrix, from_json, to_json
 from .suites import SUITES, _random_params
-from .wootters import _concurrence_of, _eof_of
+from .wootters import _concurrence_of, _eof_of, wootters_basis
 
 log = logging.getLogger("lsd_toolkit")
 
@@ -101,8 +101,8 @@ def _emit(payload, args):
     else:
         text = "\n".join(_text_lines(payload, 0))
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(args.output, "wb") as fh:
+            fh.write((text + "\n").encode("utf-8"))
     else:
         print(text)
 
@@ -127,7 +127,9 @@ def _load_state(args):
 def cmd_analyze(args):
     rho, source = _load_state(args)
     t0 = time.perf_counter()
-    spec = lambda_spectrum(rho)
+    # the basis ls_decompose reads next, so the printed spectrum and the
+    # split's class come from one Takagi factorization
+    spec = wootters_basis(rho).lambdas
     c = _concurrence_of(spec)
     eof = _eof_of(c)
     t1 = time.perf_counter()

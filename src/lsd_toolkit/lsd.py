@@ -18,8 +18,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import NoPurePart, PhaseConstraintViolated, RankMismatch
-from .matcore import _SINGULAR, _checked_svd, _checked_tol, _dual_basis, _eigh_desc
+from .errors import (
+    NoPurePart,
+    NotHermitian,
+    PhaseConstraintViolated,
+    RankMismatch,
+    SingularCoefficients,
+)
+from .matcore import _checked_tol, _dual_basis, _eigh_desc
 from .qstate import (
     ComplexArray,
     DensityMatrix,
@@ -408,43 +414,77 @@ def _independence_margin(zs, groups, anchor):
     return float((s[:, -1] / s[:, 0]).min())
 
 
+def _block_inverses(blocks):
+    """Inverses of Hermitian 2x2 blocks [[p, o], [conj(o), q]], in closed form.
+
+    blocks holds (p, q, o) with p and q real, and the result (e00, e01,
+    e11) for each: the adjugate [[q, -o], [-conj(o), p]] over det = pq -
+    |o|^2.  The singular values of such a block are |m +- h|, m = (p + q)
+    / 2 and h = hypot((p - q) / 2, |o|), so s_max = |m| + h and s_min /
+    s_max = |det| / s_max**2.  Both are taken on the block divided by
+    s_max, so neither overflows nor underflows where the block's own
+    singular values do not.  Raises NotHermitian when a block's s_max is
+    not finite, which a non-finite entry or an overflow makes it, then
+    SingularCoefficients for the first block whose s_min / s_max drops
+    below 1e-12; a block with s_max 0 has ratio 0.
+    """
+    scaled = []
+    for p, q, o in blocks:
+        # hypot overflows to inf, where complex abs raises
+        off = math.hypot(o.real, o.imag)
+        top = abs(p + q) / 2.0 + math.hypot((p - q) / 2.0, off)
+        if not math.isfinite(top):
+            raise NotHermitian("matrix has non-finite entries")
+        if top > 0.0:
+            p, q, o, off = p / top, q / top, o / top, off / top
+        scaled.append((p, q, o, p * q - off * off, top))
+    for *_, det, _ in scaled:
+        if abs(det) < 1e-12:
+            raise SingularCoefficients("reciprocal condition %.3e below 1e-12" % abs(det))
+    return [(q / det / top, -o / det / top, p / det / top) for p, q, o, det, top in scaled]
+
+
 def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
     """Closed-form checks for pairs tied by z_a + z_b = x''_1.
 
     On span(z_a, z_b), M = Lambda_a |z_a><z_a| + Lambda_b |z_b><z_b| +
-    coeff |x_1><x_1| has the coefficient block A = diag(lam_a, lam_b) +
-    coeff c c^dag, with c = <dual_i|x_1> the coordinates of x_1 in the
-    pair's dual frame, so <z_i|M^-1|z_j> = (A^-1)_ij.  The closed form
-    predicts the inverse of diag(lam_a, lam_b) + g * ones(2, 2), whose
-    determinant normalizer is Gamma = lam_a lam_b + (lam_a + lam_b) g.
-    One batched SVD of the blocks gives the measured inverses, and all
-    pairs' residuals to the predicted ones are taken at once.  The
-    weights are then reproduced from the measured elements alone, as
-    Python floats: numpy's array abs and square can differ from the
-    scalar hypot and pow in the last bit.
+    coeff |x_1><x_1| has the Hermitian coefficient block A = diag(lam_a,
+    lam_b) + coeff c c^dag, with c = <dual_i|x_1> the coordinates of x_1
+    in the pair's dual frame, so <z_i|M^-1|z_j> = (A^-1)_ij.  One batched
+    SVD gives every pair's dual frame; each block is then inverted in
+    closed form by _block_inverses, which also tests its condition.  The
+    closed form predicts the inverse of diag(lam_a, lam_b) + g * ones(2,
+    2), whose determinant normalizer is Gamma = lam_a lam_b + (lam_a +
+    lam_b) g.  The weights are reproduced from the measured elements
+    alone.  Blocks, inverses and residuals are Python numbers: there are
+    two pairs at most.
     """
     ia, ib = np.array(pairs).T
     dual = _dual_basis(np.stack([zs[ia], zs[ib]], axis=2))
-    c = dual.conj().swapaxes(1, 2) @ x1
-    blocks = coeff * (c[:, :, None] * np.conj(c)[:, None, :])
-    blocks[:, 0, 0] += np.array(lams)[ia]
-    blocks[:, 1, 1] += np.array(lams)[ib]
-    u, s, vh = _checked_svd(blocks, *_SINGULAR)
-    e_meas = (vh.conj().swapaxes(1, 2) / s[:, None, :]) @ u.conj().swapaxes(1, 2)
-    e_meas = e_meas.reshape(-1, 4)
-    gamma = [lams[a] * lams[b] + (lams[a] + lams[b]) * g for a, b in pairs]
-    # the predicted inverses, flattened, divided as complex numbers in one call
-    pred = [[lams[b] + g, -g, -g, lams[a] + g] for a, b in pairs]
-    e_pred = np.array(pred, dtype=complex) / np.array(gamma)[:, None]
-    res_mat = np.abs(e_meas - e_pred).max(axis=1)
-    rows = zip(pairs, gamma, res_mat.tolist(), e_meas.tolist())
+    coords = (dual.conj().swapaxes(1, 2) @ x1).tolist()
+    blocks = [
+        (
+            lams[a] + coeff * (c0 * c0.conjugate()).real,
+            lams[b] + coeff * (c1 * c1.conjugate()).real,
+            coeff * (c0 * c1.conjugate()),
+        )
+        for (a, b), (c0, c1) in zip(pairs, coords)
+    ]
     out = []
-    for (a, b), gam, res, (e00, e01, _, e11) in rows:
+    for (a, b), (e00, e01, e11) in zip(pairs, _block_inverses(blocks)):
         lam_a, lam_b = lams[a], lams[b]
-        d00, d11, off = e00.real, e11.real, abs(e01)
-        det = d00 * d11 - off**2
-        rep_a = (d11 - off) / det
-        rep_b = (d00 - off) / det
+        gam = lam_a * lam_b + (lam_a + lam_b) * g
+        # the measured against the predicted inverse; its (1, 0) entry,
+        # conj(e01) against the real -g / Gamma, misses by as much as e01
+        res = max(
+            abs(e00 - (lam_b + g) / gam),
+            abs(e01 + g / gam),
+            abs(e11 - (lam_a + g) / gam),
+        )
+        off = abs(e01)
+        det = e00 * e11 - off**2
+        rep_a = (e11 - off) / det
+        rep_b = (e00 - off) / det
         out.append(
             PairCheck(
                 alpha=a,
@@ -452,8 +492,8 @@ def _dependent_pair_records(zs, lams, pairs, x1, coeff, g):
                 lam_a=lam_a,
                 lam_b=lam_b,
                 cross=e01,
-                diag_a=1.0 / d00,
-                diag_b=1.0 / d11,
+                diag_a=1.0 / e00,
+                diag_b=1.0 / e11,
                 gamma=gam,
                 reproduced_a=rep_a,
                 reproduced_b=rep_b,
@@ -501,10 +541,11 @@ def verify_optimality(rho, d, tol=1e-8):
     PairCheck records.  On a pair's span, M^-1 is the inverse of its 2x2
     coefficient block diag(Lambda_a, Lambda_b) + coeff c c^dag, with c
     the coordinates of x_1 in the pair's dual frame; one stack of all the
-    pairs takes one batched SVD for the dual frames and one for the
-    blocks.  These two inverses are the certificate's only raises: a
-    dependent pair raises DependentVectors, and a block with s_min / s_max
-    below 1e-12 raises SingularCoefficients.
+    pairs takes one batched SVD for the dual frames, and each Hermitian
+    block is inverted in closed form by its adjugate, its s_min / s_max
+    read as |det| / s_max**2.  These two inverses are the certificate's
+    only raises: a dependent pair raises DependentVectors, and a block
+    with s_min / s_max below 1e-12 raises SingularCoefficients.
 
     The verdict is True when every structural check and every closed-form
     pair lands within tol (the partial-transpose check has its own

@@ -2,19 +2,20 @@
 
 A Hermitian eigendecomposition (np.linalg.eigh behind finiteness and
 hermiticity checks), Takagi factorization of complex symmetric
-matrices, and the checked SVD and dual basis of the optimality
-certificate.  Everything is sized for the 2x2 and 4x4 matrices used
-elsewhere in the package.  Each input is checked once, where it enters:
-herm_eig and takagi raise NotHermitian on an entry that is not finite
-or above MAX_ENTRY, so no sum they form overflows.  Every eigenpair
-comes from _eigh_desc, which checks nothing: herm_eig calls it after its
-checks, takagi and ppt_check on matrices Hermitian by construction.
-_checked_svd and _dual_basis take stacks only, (K, n, k), and run one
-batched SVD of the stack itself, which also gives the conditioning it
-is tested on.  No Gram matrix or other square of an input is formed, so
-no condition number is squared.  These are the certificate's two
-inverses, the dual frames and the 2x2 coefficient blocks, and the only
-places it raises on conditioning.
+matrices, and the checked dual basis of the optimality certificate.
+Everything is sized for the 2x2 and 4x4 matrices used elsewhere in the
+package.  Each input is checked once, where it enters: herm_eig and
+takagi raise NotHermitian on an entry that is not finite or above
+MAX_ENTRY, so no sum they form overflows.  Every eigenpair comes from
+_eigh_desc, which checks nothing: herm_eig calls it after its checks,
+takagi and ppt_check on matrices Hermitian by construction.
+_dual_basis takes stacks only, (K, n, k), and runs one batched SVD of
+the stack itself, which also gives the conditioning it is tested on.
+No Gram matrix or other square of an input is formed, so no condition
+number is squared.  The dual frames are one of the certificate's two
+inverses; the other, of its 2x2 coefficient blocks, is closed-form
+(lsd._block_inverses), and the two are the only places it raises on
+conditioning.
 
 The trailing lambdas of a low-rank state come out as exact zeros not
 because of the solver but because of one support cut, support(w):
@@ -30,7 +31,6 @@ from .errors import (
     DependentVectors,
     NotHermitian,
     NotSymmetric,
-    SingularCoefficients,
 )
 
 # support cut of every spectrum, relative to its largest entry: at least
@@ -156,8 +156,14 @@ def takagi(tau):
 
     Lambdas at or below the support cut are exact zeros.  Their
     eigenvectors of E mix the null space of tau with its image under i,
-    so those rows of u come from a QR completion of the others instead:
-    tau conj(v) = 0 for every v orthogonal to the range of tau.
+    so those rows of u are rebuilt.  A zero row j of the symmetric tau is
+    its own Takagi null vector e_j.  When the zero rows of tau account
+    for every zero lambda and the kept rows of u are exactly zero on
+    them, as on the eigen-ensemble of a rank-deficient state, whose zero
+    rows are its last, the null rows of u are those e_j, in row order.
+    Otherwise, as when tau's block on its nonzero rows is itself
+    singular, they come from a QR completion of the kept rows: tau
+    conj(v) = 0 for every v orthogonal to the range of tau.
 
     Raises NotHermitian when an entry is not finite or its magnitude
     exceeds MAX_ENTRY, and NotSymmetric when max|tau - tau.T| exceeds
@@ -174,45 +180,21 @@ def takagi(tau):
     res = float(np.abs(t - t.T).max())
     if res > 1e-10 * scale:
         raise NotSymmetric("max|tau - tau.T| = %.3e exceeds %.3e" % (res, 1e-10 * scale))
-    s, z = _eigh_desc(-_real_embedding((t + t.T) / 2.0))
+    sym = (t + t.T) / 2.0
+    s, z = _eigh_desc(-_real_embedding(sym))
     v = z[0::2, :n] + 1j * z[1::2, :n]
     keep = support(s[:n])
     lam = np.where(keep, s[:n], 0.0)
     r = np.count_nonzero(keep)
     if r < n:
-        q, _ = np.linalg.qr(np.hstack([v[:, :r], np.eye(n)]))
-        v[:, r:] = q[:, r:n]
+        null = ~sym.any(axis=1)
+        # e_j is orthogonal to the kept rows only where they are exactly zero
+        if np.count_nonzero(null) == n - r and not v[null, :r].any():
+            v[:, r:] = np.eye(n)[:, null]
+        else:
+            q, _ = np.linalg.qr(np.hstack([v[:, :r], np.eye(n)]))
+            v[:, r:] = q[:, r:n]
     return v.conj().T, lam
-
-
-# the condition tests: (error, message, power) for families, whose
-# (s_min / s_max)**2 is the reciprocal condition of their Gram matrix,
-# and for coefficient blocks
-_DEPENDENT = (DependentVectors, "gram reciprocal condition %.3e below 1e-12", 2)
-_SINGULAR = (SingularCoefficients, "reciprocal condition %.3e below 1e-12", 1)
-
-
-def _checked_svd(x, error, message, power):
-    """Thin SVD (u, s, vh) of each slice of a stack (K, n, k), after checks.
-
-    Raises NotHermitian when an entry of x is not finite, then when a
-    singular value is not finite (the SVD of finite input can still
-    overflow), then error for the first slice whose (s_min / s_max)**power
-    drops below 1e-12.  A slice with s_max 0, or with more columns than
-    rows, has ratio 0.
-    """
-    if not np.isfinite(x).all():
-        raise NotHermitian("matrix has non-finite entries")
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    rows = s if x.shape[2] <= x.shape[1] else np.zeros_like(s)
-    if not np.isfinite(rows).all():
-        raise NotHermitian("matrix has non-finite entries")
-    for row in rows.tolist():
-        top = max(row)
-        rc = (min(row) / top if top > 0.0 else 0.0) ** power
-        if rc < 1e-12:
-            raise error(message % rc)
-    return u, s, vh
 
 
 def _dual_basis(phi):
@@ -222,11 +204,26 @@ def _dual_basis(phi):
     as columns, and the result has the same shape: its slice i holds the
     duals of family i, with <dual_a|phi_b> = delta_ab, so any v in the
     span is sum_a <dual_a|v> phi_a.  One batched thin SVD, phi = U S V^dag,
-    gives the duals U S^-1 V^dag; no Gram matrix is formed.  Raises
-    DependentVectors, for the first such family, when (s_min / s_max)**2,
-    the reciprocal condition number of the Gram matrix phi^dag phi, drops
-    below 1e-12.
+    gives the duals U S^-1 V^dag and the conditioning they are tested on;
+    no Gram matrix is formed, so no condition number is squared.
+
+    Raises NotHermitian when an entry of phi is not finite, then when a
+    singular value is not finite (the SVD of finite input can still
+    overflow), then DependentVectors for the first family whose (s_min /
+    s_max)**2, the reciprocal condition number of its Gram matrix phi^dag
+    phi, drops below 1e-12.  A family with s_max 0, or with more vectors
+    than dimensions, has ratio 0.
     """
     phi = np.array(phi, dtype=complex, order="C")
-    u, s, vh = _checked_svd(phi, *_DEPENDENT)
+    if not np.isfinite(phi).all():
+        raise NotHermitian("matrix has non-finite entries")
+    u, s, vh = np.linalg.svd(phi, full_matrices=False)
+    rows = s if phi.shape[2] <= phi.shape[1] else np.zeros_like(s)
+    if not np.isfinite(rows).all():
+        raise NotHermitian("matrix has non-finite entries")
+    for row in rows.tolist():
+        top = max(row)
+        rc = (min(row) / top if top > 0.0 else 0.0) ** 2
+        if rc < 1e-12:
+            raise DependentVectors("gram reciprocal condition %.3e below 1e-12" % rc)
     return (u / s[:, None, :]) @ vh

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsd_toolkit import cli, qstate, suites
+from lsd_toolkit import cli, qstate, suites, wootters
 from lsd_toolkit.cli import main
 from lsd_toolkit.coset import params_from_json, params_to_json
 from lsd_toolkit.lsd import lsd_from_json, report_from_json, verify_optimality, ls_decompose
@@ -20,7 +21,8 @@ from lsd_toolkit.qstate import (
     sample_random,
 )
 from lsd_toolkit.suites import _random_params
-from lsd_toolkit.wootters import concurrence, entanglement_of_formation
+from lsd_toolkit.wootters import _concurrence_of, _eof_of, wootters_basis
+from test_lsd import _counted
 
 REPO = Path(__file__).resolve().parents[1]
 E = np.eye(4)
@@ -79,23 +81,36 @@ class TestAnalyze:
         assert "      tol: 1e-08" in lines
 
     def test_one_spectrum_per_run(self, state_file, tmp_path, monkeypatch):
-        # both spectrum routes end in _spectrum_of_eig
-        inner = qstate._spectrum_of_eig
-        calls = []
-
-        def counted(w, v):
-            calls.append(1)
-            return inner(w, v)
-
+        # the spectrum is the lambdas of the basis the split reads: one
+        # Takagi factorization, and no SVD-route spectrum
+        spectra = _counted(monkeypatch, qstate, "_spectrum_of_eig")
+        takagis = _counted(monkeypatch, wootters, "takagi")
         out = tmp_path / "out.json"
-        monkeypatch.setattr(qstate, "_spectrum_of_eig", counted)
         assert main(["analyze", "--input", state_file, "--output", str(out)]) == 0
-        assert len(calls) == 1
+        assert len(spectra) == 0
+        assert len(takagis) == 1
         monkeypatch.undo()
         obj = json.loads(out.read_text())
         rho = density_from_json(json.loads(Path(state_file).read_text()))
-        assert obj["concurrence"] == concurrence(rho)
-        assert obj["entanglement_of_formation"] == entanglement_of_formation(rho)
+        lam = wootters_basis(rho).lambdas
+        assert obj["spectrum"] == lam.tolist()
+        assert obj["concurrence"] == _concurrence_of(lam)
+        assert obj["entanglement_of_formation"] == _eof_of(_concurrence_of(lam))
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_output_file_bytes(self, fmt, tmp_path):
+        payload = {
+            "input": {"path": "st\u00e4te.json", "sha256": "0" * 64},
+            "spectrum": [0.5, 0.25, 1e-08, 0.0],
+            "lsd": {"weight": 0.75, "average_concurrence": None, "ok": True},
+        }
+        out = tmp_path / "out"
+        cli._emit(payload, argparse.Namespace(format=fmt, output=str(out)))
+        if fmt == "json":
+            expected = json.dumps(payload, indent=2) + "\n"
+        else:
+            expected = "\n".join(cli._text_lines(payload, 0)) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_certify_good_state(self, state_file):
         assert main(["analyze", "--input", state_file, "--certify", "--output", "/dev/null"]) == 0

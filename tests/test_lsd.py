@@ -965,10 +965,10 @@ class TestOncePerState:
         assert len(calls) == 1
 
     # a separable or full split has one family size, its independent pairs;
-    # rank3 and rank2 add one stack for the dual basis and one for the
-    # restricted inverse of their closed-form pairs
+    # rank3 and rank2 add one stack for the dual frames of their closed-form
+    # pairs, whose 2x2 blocks are inverted in closed form
     @pytest.mark.parametrize(
-        "rank, batches", [(1, 1), (2, 3), (3, 3), (4, 1), ("bell-separable", 1)]
+        "rank, batches", [(1, 1), (2, 2), (3, 2), (4, 1), ("bell-separable", 1)]
     )
     def test_certificate_solves_one_batch_per_record_family(
         self, rank, batches, monkeypatch
@@ -993,15 +993,15 @@ class TestOncePerState:
 
     # eigh: the state, its Takagi embedding, the separable part of a mixed
     # entangled split (built as a DensityMatrix) and the partial transpose;
-    # svd: the margin's one batch and two per closed-form stack; qr: the
-    # Takagi completion of a rank-deficient tau
+    # svd: the margin's one batch and the closed-form pairs' dual frames; no
+    # qr: takagi gives the unit vectors on tau's zero rows as its null rows
     @pytest.mark.parametrize(
         "make, cls, counts",
         [
             (lambda: sample_random(21, rank=4), "full", {"eigh": 4, "svd": 1}),
-            (lambda: sample_random(21, rank=3), "rank3", {"eigh": 4, "svd": 3, "qr": 1}),
-            (lambda: sample_random(21, rank=2), "rank2", {"eigh": 4, "svd": 3, "qr": 1}),
-            (lambda: sample_random(21, rank=1), "pure", {"eigh": 3, "svd": 1, "qr": 1}),
+            (lambda: sample_random(21, rank=3), "rank3", {"eigh": 4, "svd": 2}),
+            (lambda: sample_random(21, rank=2), "rank2", {"eigh": 4, "svd": 2}),
+            (lambda: sample_random(21, rank=1), "pure", {"eigh": 3, "svd": 1}),
             (
                 lambda: bell_diagonal([0.4, 0.3, 0.2, 0.1]),
                 "separable",

@@ -10,17 +10,16 @@ from lsd_toolkit.errors import (
     SingularCoefficients,
 )
 from lsd_toolkit import matcore
+from lsd_toolkit.lsd import _block_inverses
 from lsd_toolkit.matcore import (
-    _DEPENDENT,
-    _SINGULAR,
     MAX_ENTRY,
-    _checked_svd,
     _dual_basis,
     _real_embedding,
     herm_eig,
     takagi,
 )
-from lsd_toolkit.qstate import DensityMatrix
+from lsd_toolkit.qstate import DensityMatrix, _flip_form, eigen_ensemble, sample_random
+from test_lsd import _counted
 
 
 def random_hermitian(rng, n=4):
@@ -152,6 +151,46 @@ class TestTakagi:
         assert lam[3] == 0.0
         d = u @ tau @ u.T
         assert np.max(np.abs(d - np.diag(lam))) < 1e-13
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_null_rows_of_an_ensemble_tau_are_unit_vectors(self, rank):
+        # a rank-r state's eigen-ensemble has 4 - r zero rows, and so has its tau
+        for seed in range(50):
+            tau = _flip_form(eigen_ensemble(sample_random(seed, rank=rank)))
+            null = ~tau.any(axis=1)
+            assert np.count_nonzero(null) == 4 - rank
+            u, lam = takagi(tau)
+            assert np.count_nonzero(lam) == rank
+            assert np.array_equal(u[rank:], np.eye(4)[null])
+            assert not u[:rank, null].any()
+            # the kept rows are eigh's, orthonormal to about 2.2e-15
+            assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-14
+            assert np.max(np.abs(u @ tau @ u.T - np.diag(lam))) < 1e-14
+
+    def test_singular_live_block_takes_the_qr_completion(self, monkeypatch):
+        # rank 1, but only two zero rows: the null rows cannot all be unit vectors
+        tau = np.zeros((4, 4), dtype=complex)
+        tau[:2, :2] = [[1.0, 2j], [2j, -4.0]]
+        calls = _counted(monkeypatch, np.linalg, "qr")
+        u, lam = takagi(tau)
+        assert len(calls) == 1
+        assert lam[0] == pytest.approx(5.0, rel=1e-15)
+        assert lam[1:].tolist() == [0.0, 0.0, 0.0]
+        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-15
+        assert np.max(np.abs(u @ tau @ u.T - np.diag(lam))) < 1e-14
+
+    def test_zero_row_between_live_rows(self):
+        # a zero row of tau that is not trailing; whichever way its null row
+        # is made, u is unitary and factorizes tau
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            tau = np.zeros((4, 4), dtype=complex)
+            tau[np.ix_([0, 2, 3], [0, 2, 3])] = g @ g.T
+            u, lam = takagi(tau)
+            assert lam[3] == 0.0
+            assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-14
+            assert np.max(np.abs(u @ tau @ u.T - np.diag(lam))) < 1e-13
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
@@ -395,11 +434,11 @@ class TestStackedKernels:
         _dual_basis(np.delete(phi, 1, axis=0))
 
     def test_singular_block_raises(self):
-        coeffs = random_coefficients(2, 3)
-        _checked_svd(coeffs, *_SINGULAR)
-        coeffs[3] = np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
+        coeffs = random_coefficients(2, 2)
+        _block_inverses(blocks_of(coeffs))
+        coeffs[3] = np.outer([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(SingularCoefficients):
-            _checked_svd(coeffs, *_SINGULAR)
+            _block_inverses(blocks_of(coeffs))
 
     def test_non_finite_slice_raises(self):
         phi = random_families(3, 2)
@@ -409,7 +448,12 @@ class TestStackedKernels:
         coeffs = random_coefficients(3, 2)
         coeffs[4, 1, 1] = np.inf
         with pytest.raises(NotHermitian):
-            _checked_svd(coeffs, *_SINGULAR)
+            _block_inverses(blocks_of(coeffs))
+
+
+def blocks_of(stack):
+    """The (p, q, o) of each Hermitian 2x2 slice of a stack, as Python numbers."""
+    return [(float(a[0, 0].real), float(a[1, 1].real), complex(a[0, 1])) for a in stack]
 
 
 def diagonal_slices(rows):
@@ -419,31 +463,35 @@ def diagonal_slices(rows):
 
 
 class TestConditionTest:
-    """_checked_svd: finite input, then finite singular values, then the
-    first failing slice."""
+    """The certificate's two condition tests, each on finite input, then
+    finite singular values, then the first failing slice: _dual_basis on
+    families and _block_inverses on the 2x2 coefficient blocks."""
 
     def test_row_with_max_zero_has_ratio_zero(self):
         with pytest.raises(SingularCoefficients, match="condition 0.000e"):
-            _checked_svd(diagonal_slices([[1.0, 0.5], [0.0, 0.0]]), *_SINGULAR)
-        _checked_svd(diagonal_slices([[1.0, 0.5], [2.0, 1.0]]), *_SINGULAR)
+            _block_inverses(blocks_of(diagonal_slices([[1.0, 0.5], [0.0, 0.0]])))
+        _block_inverses(blocks_of(diagonal_slices([[1.0, 0.5], [2.0, 1.0]])))
 
     def test_reports_the_first_failing_row(self):
         stack = diagonal_slices([[1.0, 0.1], [1.0, 1e-7], [1.0, 0.0]])
         with pytest.raises(DependentVectors, match="condition 1.000e-14 below 1e-12"):
-            _checked_svd(stack, *_DEPENDENT)
+            _dual_basis(stack)
+        stack = diagonal_slices([[1.0, 0.1], [1.0, 1e-13], [1.0, 0.0]])
+        with pytest.raises(SingularCoefficients, match="condition 1.000e-13 below 1e-12"):
+            _block_inverses(blocks_of(stack))
 
     def test_more_columns_than_rows_has_ratio_zero(self):
         # three vectors in C^2 are dependent whatever their singular values
         fam = random_families(4, 3)[:, :2, :]
         with pytest.raises(DependentVectors, match="condition 0.000e"):
-            _checked_svd(fam, *_DEPENDENT)
+            _dual_basis(fam)
 
     @pytest.mark.parametrize(
         "rows", [[[1.0, 0.0], [np.nan, 1.0]], [[np.nan, 1.0], [1.0, 0.0]]]
     )
     def test_non_finite_entry_raises_before_a_singular_row(self, rows):
         with pytest.raises(NotHermitian, match="non-finite"):
-            _checked_svd(diagonal_slices(rows), *_SINGULAR)
+            _block_inverses(blocks_of(diagonal_slices(rows)))
 
     @pytest.mark.parametrize("first", [False, True], ids=["after", "before"])
     def test_overflowing_slice_raises_before_a_singular_row(self, first):
@@ -453,5 +501,41 @@ class TestConditionTest:
         singular = np.diag([1.0, 0.0]).astype(complex)
         stack = np.stack([big, singular] if first else [singular, big])
         with pytest.raises(NotHermitian, match="non-finite"):
-            _checked_svd(stack, *_SINGULAR)
+            _block_inverses(blocks_of(stack))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+    def test_block_condition_does_not_depend_on_the_scale(self, scale):
+        # det = pq - |o|^2 of the unscaled block would underflow or overflow
+        # at most of these scales; s_min / s_max is 1e-3 and 1e-14 at each
+        good = np.array([[1.0, 0.0], [0.0, 1e-3]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((e00, e01, e11),) = _block_inverses(blocks_of([good]))
+            with pytest.raises(SingularCoefficients, match="condition 1.000e-14"):
+                _block_inverses(blocks_of([np.diag([1.0, 1e-14]) * scale]))
+        assert e00 == pytest.approx(1.0 / scale, rel=1e-15)
+        assert e11 == pytest.approx(1e3 / scale, rel=1e-15)
+        assert e01 == 0.0
+
+    def test_block_decision_matches_the_svd(self):
+        # PSD blocks with condition 1 to 1e16: the closed-form s_min / s_max
+        # decides as the SVD's does, the blocks near 1e-12 included
+        rng = np.random.default_rng(17)
+        cond = 10.0 ** rng.uniform(0.0, 16.0, 4000)
+        near = 0
+        for k in cond.tolist():
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            q, _ = np.linalg.qr(g)
+            a = q @ np.diag([1.0, 1.0 / k]) @ q.conj().T
+            a = (a + a.conj().T) / 2.0
+            s = np.linalg.svd(a, compute_uv=False)
+            near += 1e-13 < s[1] / s[0] < 1e-11
+            try:
+                ((e00, e01, e11),) = _block_inverses(blocks_of([a]))
+            except SingularCoefficients:
+                assert s[1] / s[0] < 1e-12
+                continue
+            assert s[1] / s[0] >= 1e-12
+            e = np.array([[e00, e01], [np.conj(e01), e11]])
+            assert np.max(np.abs(a @ e - np.eye(2))) < 1e-14 * k
+        assert near > 100
