@@ -8,6 +8,14 @@ record's residual check failed, 4 a certificate or invariant check came
 back negative, 5 a property suite failed.  Set LSD_TOOLKIT_LOG=info or
 debug for progress logging on stderr.
 
+--format json writes each payload as one compact line through the
+stdlib's C JSON encoder, so every payload is a JSON Lines record; keys,
+their order and every value are those of json.dumps(payload, indent=2),
+which `python -m json.tool --indent 2 FILE` prints byte for byte.
+--format text is the layout for reading.  An --output, --input or
+--params path is used whenever it is given: an empty one exits 2 like
+any other unreadable path.
+
 main(argv) may be called repeatedly in one process: the argument parser
 is built on the first call and reused, so each later call pays only for
 its command.  A --tol value must be a finite number >= 0.
@@ -97,10 +105,11 @@ def _text_lines(obj, indent):
 
 def _emit(payload, args):
     if args.format == "json":
-        text = json.dumps(payload, indent=2)
+        # no indent, so json runs its C encoder: one compact line
+        text = json.dumps(payload)
     else:
         text = "\n".join(_text_lines(payload, 0))
-    if getattr(args, "output", None):
+    if args.output is not None:
         with open(args.output, "wb") as fh:
             fh.write((text + "\n").encode("utf-8"))
     else:
@@ -182,7 +191,7 @@ def _params_from_args(args):
     alone, which uses seed 0 when it is absent.
     """
     given = [n for n in ("lambdas", "theta", "xi", "phi") if getattr(args, n) is not None]
-    if args.params:
+    if args.params is not None:
         if given:
             raise ValueError("--%s is not read beside --params" % given[0])
         if args.seed is not None:

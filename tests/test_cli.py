@@ -107,13 +107,42 @@ class TestAnalyze:
         out = tmp_path / "out"
         cli._emit(payload, argparse.Namespace(format=fmt, output=str(out)))
         if fmt == "json":
-            expected = json.dumps(payload, indent=2) + "\n"
+            expected = json.dumps(payload) + "\n"
         else:
             expected = "\n".join(cli._text_lines(payload, 0)) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")
 
     def test_certify_good_state(self, state_file):
         assert main(["analyze", "--input", state_file, "--certify", "--output", "/dev/null"]) == 0
+
+    def test_empty_output_path_exits_two(self, state_file, capsys):
+        assert main(["analyze", "--input", state_file, "--output", ""]) == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "{state}", "--certify"],
+        ["decompose", "--input", "{state}", "--certify"],
+        ["generate", "--seed", "5"],
+        ["verify", "--suite", "all", "--n", "2"],
+    ],
+    ids=["analyze", "decompose", "generate", "verify"],
+)
+def test_json_payload_is_one_compact_line(argv, state_file, tmp_path, capsys):
+    argv = [a.format(state=state_file) for a in argv]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text)) + "\n"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\n") == 1
+    from_file, from_stdout = json.loads(text), json.loads(printed)
+    from_file.pop("timings")
+    from_stdout.pop("timings")
+    assert from_stdout == from_file
 
 
 class TestDecompose:
@@ -221,6 +250,20 @@ class TestGenerate:
         assert main(["generate", *lambdas, "--xi", "0.5,0", "--output", str(out)]) == 0
         p = params_from_json(json.loads(out.read_text())["params"])
         assert (p.theta, p.xi, p.phi) == ((0.0, 0.0), (0.5, 0.0), (0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["--params", ""], "input error"),
+            (["--params", "", "--seed", "3"], "--seed"),
+            (["--seed", "1", "--output", ""], "input error"),
+        ],
+        ids=["params", "params-and-seed", "output"],
+    )
+    def test_empty_path_exits_two(self, argv, named, capsys):
+        # an empty path is a path that cannot be opened, not an absent option
+        assert main(["generate", *argv]) == 2
+        assert named in capsys.readouterr().err
 
     def test_rejects_negative_xi(self):
         rc = main(
@@ -559,6 +602,7 @@ class TestConsoleScript:
             text=True,
         )
         assert proc.returncode == 0
+        assert proc.stdout.count("\n") == 1
         obj = json.loads(proc.stdout)
         assert abs(obj["concurrence"] - 0.25) < 1e-10
 
