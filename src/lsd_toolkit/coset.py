@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
 from .qstate import DensityMatrix, _flip_form, _outer_sum, from_json, to_json
-from .wootters import WoottersDecomposition, _zero_threshold
+from .wootters import WoottersDecomposition
 
 # real symmetric involution mixing the product basis into magic-like pairs
 O_MAT = np.array(
@@ -121,13 +121,14 @@ def build_x(w):
 
     Returns a complex 4x4 array whose columns have spin-flip overlaps
     <x_i|xtilde_j> = delta_ij, that is X^T S X = I with S the spin flip.
-    Raises RankDeficient when any lambda_i vanishes, since the frame then
-    has no normalizable column, and ResidualCheckFailed when the columns
-    miss that identity by more than 1e-9.
+    Raises RankDeficient when any lambda_i is exactly 0, as the support
+    cut leaves it, since the frame then has no normalizable column, and
+    ResidualCheckFailed when the columns miss that identity by more than
+    1e-9.  A tiny nonzero lambda_i is a column like any other, which the
+    identity check decides.
     """
     lam = w.lambdas
-    cut = _zero_threshold(lam)
-    if any(float(x) <= cut for x in lam):
+    if not lam.all():
         raise RankDeficient("overlap spectrum has a vanishing entry")
     rows = w.xs / np.sqrt(lam)[:, None]
     message = "columns not orthonormal under the spin-flip form (%.3e)"

@@ -36,7 +36,7 @@ from .qstate import (
     from_json,
     to_json,
 )
-from .wootters import _concurrence_of, _zero_threshold, wootters_basis
+from .wootters import _concurrence_of, wootters_basis
 
 # Hadamard-pattern mixing matrix for the product ensemble; its columns are
 # orthogonal with H4.T @ H4 = 4 * I
@@ -56,11 +56,14 @@ DEFAULT_PHASES = np.array([0.0, -np.pi / 2.0, -np.pi / 2.0, -np.pi / 2.0])
 
 _RANK_CLASSES = ("full", "rank3", "rank2", "pure", "separable")
 
-# lambda_1 of a rank-1 state at or below this fraction of its trace is the
-# rounding residue of a product state: at most 8.5 eps over 30 000 seeded
-# random kron(a, b) states.  It must stay far below 2e-10, since a pure
-# state's smallest partial-transpose eigenvalue is -C / 2 and separable-ppt
-# allows -1e-10
+# floor of the separable cut on the concurrence of a unit-trace state: a C
+# at or below it is the rounding residue of a product state, which a cut
+# relative to lambda_1 misses where lambda_1 is itself a residue.  Measured
+# C is at most 8.9 eps over 30 000 seeded random kron(a, b) pure states and
+# 8.2 eps over 20 000 locally rotated |0><0| (x) sigma, whose lambda_1
+# reaches 172 eps.  It must stay far below 2e-10, since a pure state's
+# smallest partial-transpose eigenvalue is -C / 2 and separable-ppt allows
+# -1e-10
 PRODUCT_EPS = 64.0 * np.finfo(float).eps
 
 
@@ -120,37 +123,32 @@ def _build_zs(xpp, phases):
 def _optimal_weight(w):
     """Optimal separable weight of an entangled state from its basis w.
 
-    Returns 1 - (C / lambda_1) <x_1|x_1>, the spectrum as Python floats
-    with entries at or below the zero threshold set to 0, and the sum of
-    its last three.
+    Returns 1 - (C / lambda_1) <x_1|x_1> and rest = lambda_2 + lambda_3 +
+    lambda_4, both from the same lambdas, so that the split's trace is 1.
     """
     lam = w.lambdas.tolist()
     c = lam[0] - lam[1] - lam[2] - lam[3]
     x1 = w.xs[0]
     weight = 1.0 - (c / lam[0]) * float(np.vdot(x1, x1).real)
-    thr = _zero_threshold(lam)
-    lam_cls = [x if x > thr else 0.0 for x in lam]
-    return weight, lam_cls[1] + lam_cls[2] + lam_cls[3], lam_cls
+    return weight, lam[1] + lam[2] + lam[3]
 
 
 def _classify(rho, lam):
     """Rank class of a state given its lambda spectrum.
 
-    A rank-1 state whose lambda_1 is at most PRODUCT_EPS of its trace is a
-    product state, "separable".
+    "separable" when C is at most max(1e-8 lambda_1, PRODUCT_EPS); else
+    "pure" when the state's second eigenvalue is at most 1e-10, its own
+    PSD tolerance.  Otherwise the class counts the lambdas that are
+    exactly 0.0, which only the support cut (matcore.support) makes: none
+    is "full", one "rank3", two or three "rank2".  Three zeros with a
+    mixed state is an overlap matrix that lost rank; the rank2 split
+    applies to it, with the two-distinct-z layout.
     """
-    thr = _zero_threshold(lam)
-    if _concurrence_of(lam) <= thr:
+    if _concurrence_of(lam) <= max(1e-8 * float(lam[0]), PRODUCT_EPS):
         return "separable"
-    nzero = sum(x <= thr for x in lam.tolist())
-    if nzero == 3:
-        mu, _ = rho._eig
-        if mu[1] <= 1e-10:
-            return "pure" if lam[0] > PRODUCT_EPS * mu.sum() else "separable"
-        # mixed state whose overlap matrix lost rank; the general split
-        # below still applies, with the two-distinct-z layout
-        return "rank2"
-    return {0: "full", 1: "rank3", 2: "rank2"}[nzero]
+    if rho._eig[0][1] <= 1e-10:
+        return "pure"
+    return ("full", "rank3", "rank2", "rank2")[lam.tolist().count(0.0)]
 
 
 def _closure_phases(lam):
@@ -189,7 +187,11 @@ def ls_decompose(rho):
     Separable states return weight 1 with no pure part.  Pure entangled
     states return weight 0 against a canonical boundary state.  Otherwise
     the weight is 1 - (C / lambda_1) <x_1|x_1> with the separable part
-    assembled from the rescaled basis x''.  The split saturates
+    assembled from the rescaled basis x'', lambda''_1 = rest / weight and
+    lambda''_i = lambda_i / weight for i > 1.  C, rest and lambdas_pp
+    read the same unclipped lambdas, so sep has unit trace; the only
+    zero lambdas are the support cut's, so the split is continuous
+    across the faces where the rank changes.  The split saturates
     (1 - weight) C(psi) = C(rho) and its weight is maximal within its
     stationary family: the best separable approximation's on
     Bell-diagonal states, but not on generic rank-3 and full-rank
@@ -207,13 +209,11 @@ def ls_decompose(rho):
         ws = wootters_basis(sep)
         weight, xpp, lambdas_pp, phases = 0.0, ws.xs, ws.lambdas, DEFAULT_PHASES
     else:
-        weight, rest, lam_cls = _optimal_weight(w)
+        weight, rest = _optimal_weight(w)
         x1 = w.xs[0]
         xpp = w.xs / np.sqrt(weight)
         xpp[0] = np.sqrt(rest / (weight * float(lam[0]))) * x1
-        # rank-deficient vectors, kept identically zero
-        xpp[1:][[float(np.vdot(x, x).real) <= 1e-24 for x in w.xs[1:]]] = 0.0
-        lambdas_pp = np.array([rest, *lam_cls[1:]]) / weight
+        lambdas_pp = np.array([rest, *lam[1:]]) / weight
         sep = DensityMatrix(_outer_sum(xpp))
         pure = x1 / np.sqrt(float(np.vdot(x1, x1).real))
         phases = DEFAULT_PHASES
@@ -568,7 +568,7 @@ def verify_optimality(rho, d, tol=1e-8):
     elif cls == "pure":
         predicted = 0.0
     else:
-        predicted, rest, _ = _optimal_weight(w)
+        predicted, rest = _optimal_weight(w)
     form = _flip_form(d.xpp)
     form.flat[::5] -= d.lambdas_pp
     lpp = float(np.abs(form).max())

@@ -20,7 +20,10 @@ conditioning.
 The trailing lambdas of a low-rank state come out as exact zeros not
 because of the solver but because of one support cut, support(w):
 eigen_ensemble, lambda_spectrum_raw, coset_generate and takagi treat an
-entry at or below 8 eps times the largest of its spectrum as zero.
+entry at or below 8 eps times the largest of its spectrum as zero.  It
+is the package's only zero rule for lambdas: the rank class of a split
+(lsd._classify) counts the lambdas that are exactly 0.0, and build_x
+refuses exactly those.
 """
 
 import math
@@ -98,9 +101,10 @@ def support(w):
     """Mask of the entries of a spectrum w above 8 eps max(w).
 
     The one support cut of the package: a state eigenvalue or a Takagi
-    value at or below it counts as an exact zero.  Rounding leaves up to
-    about 3 eps of the largest eigenvalue in the zero eigenvalues of a
-    singular matrix, and the cut removes it.  A true state eigenvalue
+    value at or below it counts as an exact zero, and the rank class of
+    a split counts the lambdas it zeroed and no others.  Rounding leaves
+    up to about 3 eps of the largest eigenvalue in the zero eigenvalues
+    of a singular matrix, and the cut removes it.  A true state eigenvalue
     below the cut moves a lambda by at most about 2 sqrt(8 eps), 8.4e-8,
     of the largest.
     """

@@ -129,16 +129,6 @@ def wootters_basis(rho):
     return w
 
 
-def _zero_threshold(lam):
-    """The zero cut of a lambda spectrum, 1e-8 of its largest entry.
-
-    The rank class counts the entries at or below it as zeros, and the
-    state as separable when its concurrence is at or below it; build_x
-    refuses a spectrum with an entry at or below it.
-    """
-    return 1e-8 * max(float(lam[0]), 1e-30)
-
-
 def _concurrence_of(lam):
     l1, l2, l3, l4 = lam.tolist()
     return max(0.0, l1 - l2 - l3 - l4)

@@ -155,6 +155,23 @@ class TestClassification:
             assert (d.rank_class, d.weight) == ("pure", 0.0)
             assert verify_optimality(rho, d).verdict
 
+    @pytest.mark.parametrize("pure_first", [True, False])
+    def test_rotated_product_with_a_pure_factor_is_separable(self, pure_first):
+        # (u1 (x) u2)(|0><0| (x) sigma)(u1 (x) u2)^dag: C is a rounding
+        # residue of a few eps, and lambda_1 one of up to 172 eps, so a cut
+        # relative to lambda_1 cannot call C zero
+        rng = np.random.default_rng(11)
+        p0 = np.diag([1.0, 0.0])
+        for _ in range(10):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            sigma = g @ g.conj().T / np.vdot(g, g).real
+            m = np.kron(p0, sigma) if pure_first else np.kron(sigma, p0)
+            u = np.kron(coset.haar_su2(rng), coset.haar_su2(rng))
+            rho = DensityMatrix(u @ m @ u.conj().T)
+            d = ls_decompose(rho)
+            assert (d.rank_class, d.weight, d.pure) == ("separable", 1.0, None)
+            assert verify_optimality(rho, d).verdict
+
     def test_exotic_rank_two(self):
         # overlap-matrix rank below the state rank still lands in rank2
         assert ls_decompose(exotic_rank2()).rank_class == "rank2"
@@ -208,9 +225,9 @@ class TestWerner:
 _NEARLY_PURE_DEFECT = pytest.mark.xfail(
     strict=True,
     raises=(NotUnitTrace, AssertionError),
-    reason="the split of a nearly pure state: dividing by a weight near 1e-6 "
-    "lifts the rounding of sep's trace past 1e-10, and below the zero "
-    "threshold the weight keeps the unclipped C while rest is clipped",
+    reason="the split of a nearly pure state: dividing sep by a weight near "
+    "eps lifts its trace error past 1e-10 (|trace - 1| = 1.2e-9 ... 3.3e-6), "
+    "and at white eps = 1e-6 the split is built but fails separable-ppt",
 )
 
 
@@ -236,6 +253,42 @@ class TestNearlyPure:
         m = {"white": np.eye(4) / 4.0, "01": np.outer(E[:, 1], E[:, 1])}[mix]
         rho = DensityMatrix((1.0 - eps) * np.outer(PHI_P, PHI_P) + eps * m)
         assert verify_optimality(rho, ls_decompose(rho)).verdict
+
+
+def _rounded(m, digits):
+    """m with the real and imaginary part of each entry rounded to digits
+    significant digits, as a state written out with limited precision."""
+    r = np.vectorize(lambda x: float("%.*g" % (digits, x)))
+    return r(m.real) + 1j * r(m.imag)
+
+
+class TestRankFaces:
+    """Continuity of the split across the faces where the rank changes.
+
+    rho(t) = (1 - t) rho_a + t rho_b, with rho_b of higher rank than
+    rho_a, leaves rho_a's face at t = 0.  The lambdas that rho_b lifts
+    off zero are tiny but not zero, and enter C, rest and the vectors
+    alike, so the split moves by O(t).
+    """
+
+    @pytest.mark.parametrize("ra, rb", [(3, 4), (2, 4), (2, 3)])
+    def test_split_is_continuous_and_certified(self, ra, rb):
+        for s in range(5):
+            a = sample_random(1000 + s, rank=ra)
+            b = sample_random(5000 + s, rank=rb)
+            d0 = ls_decompose(a)
+            for t in (1e-8, 1e-10, 1e-12, 1e-13):
+                rho = DensityMatrix((1.0 - t) * a.m + t * b.m)
+                d = ls_decompose(rho)
+                assert verify_optimality(rho, d).verdict
+                assert abs(d.weight - d0.weight) <= 100.0 * t
+                assert np.abs(d.sep.m - d0.sep.m).max() <= 100.0 * t
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_states_rounded_to_12_digits_certify(self, rank):
+        for s in range(20):
+            rho = DensityMatrix(_rounded(sample_random(7000 + s, rank=rank).m, 12))
+            assert verify_optimality(rho, ls_decompose(rho)).verdict
 
 
 class TestPureBranch:
@@ -670,7 +723,7 @@ def _ref_families(rho, d):
             if not any(parallel(zs[a], zs[b]) for b in distinct):
                 distinct.append(a)
         return [[zs[a], d.pure] for a in distinct], []
-    _, rest, _ = lsd._optimal_weight(w)
+    _, rest = lsd._optimal_weight(w)
     lam0 = float(w.lambdas[0])
     single_idx, indep, dep = {
         "full": (
