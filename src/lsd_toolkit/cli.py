@@ -176,7 +176,8 @@ def cmd_decompose(args):
         "timings": {"decompose": t1 - t0},
     }
     rc = _certify(rho, d, args, payload)
-    if any(v is not None and v > args.tol for v in inv.values()):
+    # written "not v <= tol" so that a NaN invariant fails too
+    if any(v is not None and not v <= args.tol for v in inv.values()):
         rc = 4
     log.info("decompose finished with exit code %d", rc)
     _emit(payload, args)

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NotSpecialUnitary, RankDeficient, ResidualCheckFailed, ZeroState
-from .qstate import DensityMatrix, _flip_form, _outer_sum, from_json, to_json
+from .qstate import DensityMatrix, _flip_form, _gram_state, from_json, to_json
 from .wootters import WoottersDecomposition
 
 # real symmetric involution mixing the product basis into magic-like pairs
@@ -176,9 +176,12 @@ def coset_generate(params):
     spectrum is params.lambdas / trace_factor.
 
     The returned decomposition holds the frame's vectors x_i, scaled by
-    the same factor, so the |x_i><x_i| sum to the returned state.
-    Raises ZeroState when all lambdas vanish, and ValueError when the
-    trace factor would leave the normal floats, less a factor 2 at the top.
+    the same factor, so the |x_i><x_i| sum to the returned state.  The
+    state is that Gram sum (qstate._gram_state): it is not
+    eigendecomposed here, but on the first read of its eigenpair, by
+    lambda_spectrum for one.  Raises ZeroState when all lambdas vanish,
+    and ValueError when the trace factor would leave the normal floats,
+    less a factor 2 at the top.
     """
     lam = np.array(params.lambdas, dtype=float)
     if float(lam[0]) <= 0.0:
@@ -191,7 +194,7 @@ def coset_generate(params):
         raise ValueError("lambda_1 = %.3e puts the trace factor out of range" % lam[0])
     t = float(lam[0]) * s
     xs_raw = np.sqrt(lam)[:, None] * xm.T
-    rho = DensityMatrix(_outer_sum(xs_raw) / t)
+    rho = _gram_state(xs_raw, t)
     w = WoottersDecomposition(xs=xs_raw / np.sqrt(t), lambdas=lam / t)
     return CosetResult(rho=rho, wootters=w, trace_factor=t)
 

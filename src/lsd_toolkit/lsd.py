@@ -32,6 +32,7 @@ from .qstate import (
     RealArray,
     _family,
     _flip_form,
+    _gram_state,
     _outer_sum,
     from_json,
     to_json,
@@ -214,7 +215,7 @@ def ls_decompose(rho):
         xpp = w.xs / np.sqrt(weight)
         xpp[0] = np.sqrt(rest / (weight * float(lam[0]))) * x1
         lambdas_pp = np.array([rest, *lam[1:]]) / weight
-        sep = DensityMatrix(_outer_sum(xpp))
+        sep = _gram_state(xpp, 1.0)
         pure = x1 / np.sqrt(float(np.vdot(x1, x1).real))
         phases = DEFAULT_PHASES
     return LSDecomposition(
@@ -300,8 +301,9 @@ def ppt_check(rho):
     """Positivity of the partial transpose, the two-qubit separability test.
 
     Returns (separable, min_pt_eigenvalue); separable is True when the
-    smallest eigenvalue of the partial transpose is >= -1e-10.  rho was
-    checked when it was built, so its symmetrized partial transpose goes
+    smallest eigenvalue of the partial transpose is >= -1e-10.  rho's
+    entries were checked finite and at most MAX_ENTRY when it was built
+    (matcore._checked_top), so its symmetrized partial transpose goes
     to _eigh_desc unchecked.
     """
     # transpose the second qubit factor

@@ -8,13 +8,13 @@ the package, to_json and from_json.
 """
 
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Annotated, Union, get_args, get_origin
 
 import numpy as np
 
 from .errors import NotPSD, NotUnitTrace
-from .matcore import herm_eig, support
+from .matcore import _checked_top, herm_eig, support
 
 # field annotations naming an array's entry type, which from_json reads,
 # and the JSON types from_json accepts for each scalar field type
@@ -54,17 +54,34 @@ def _outer_sum(vs):
     return vs.T @ np.conj(vs)
 
 
+def _unit_trace(arr):
+    tr = complex(arr.trace())
+    if abs(tr - 1.0) > 1e-10:
+        raise NotUnitTrace("|trace - 1| = %.3e exceeds 1e-10" % abs(tr - 1.0))
+
+
+def _psd_eig(w, v):
+    """The eigenpair (w, v) of a state, read-only; NotPSD below -1e-10."""
+    if w[-1] < -1e-10:
+        raise NotPSD("eigenvalue %.3e below -1e-10" % w[-1])
+    _read_only(w, v)
+    return w, v
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated, immutable 4x4 density matrix.
 
     Construction copies its input and raises, in this order, herm_eig's
-    NotHermitian, NotUnitTrace past 1e-10 and NotPSD below -1e-10.  The
-    eigenpair of that check is kept on the instance, so the state is
-    eigendecomposed once; wootters_basis keeps its result there too.
-    Neither is a dataclass field, so to_json and from_json see only m.
-    m and the kept arrays are read-only.  Like every record that holds arrays, a
-    state compares and hashes by identity.
+    NotHermitian, NotUnitTrace past 1e-10 and NotPSD below -1e-10.  A
+    state is eigendecomposed at most once: at construction from a
+    matrix, where the eigenpair of that check is kept on the instance,
+    or, for a Gram sum the package builds itself (_gram_state), on the
+    first read of the eigenpair, which then runs herm_eig's hermiticity
+    test and the PSD test.  wootters_basis keeps its result on the state
+    too.  Neither is a dataclass field, so to_json and from_json see
+    only m.  m and the kept arrays are read-only.  Like every record
+    that holds arrays, a state compares and hashes by identity.
     """
 
     m: ComplexArray = field(metadata={"json": "matrix"})
@@ -74,14 +91,36 @@ class DensityMatrix:
         if arr.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
         w, v = herm_eig(arr)
-        tr = complex(arr.trace())
-        if abs(tr - 1.0) > 1e-10:
-            raise NotUnitTrace("|trace - 1| = %.3e exceeds 1e-10" % abs(tr - 1.0))
-        if w[-1] < -1e-10:
-            raise NotPSD("eigenvalue %.3e below -1e-10" % w[-1])
-        _read_only(arr, w, v)
+        _unit_trace(arr)
+        eig = _psd_eig(w, v)
+        _read_only(arr)
         object.__setattr__(self, "m", arr)
-        object.__setattr__(self, "_eig", (w, v))
+        # an instance attribute, which shadows the property below
+        object.__setattr__(self, "_eig", eig)
+
+    @cached_property
+    def _eig(self):
+        # reached only by a _gram_state, whose construction set no _eig
+        return _psd_eig(*herm_eig(self.m))
+
+
+def _gram_state(rows, scale):
+    """The state sum_i |r_i><r_i| / scale of the rows r_i of rows.
+
+    Such a sum is Hermitian and PSD by construction, so it is not
+    eigendecomposed here; the two checks that it can fail run in
+    DensityMatrix's order and with its messages: an entry that is not
+    finite or above MAX_ENTRY raises NotHermitian, then a trace off 1 by
+    more than 1e-10 NotUnitTrace.  The hermiticity residual and the PSD
+    test run, unchanged, when the eigenpair is first read.
+    """
+    arr = _outer_sum(rows) / scale
+    _checked_top(arr)
+    _unit_trace(arr)
+    _read_only(arr)
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "m", arr)
+    return state
 
 
 def _flip_form(rows):
@@ -136,8 +175,8 @@ def _spectrum_of_eig(w, v):
 def lambda_spectrum(rho):
     """Lambda spectrum of a validated state, a descending (4,) float array.
 
-    The route of lambda_spectrum_raw, from the eigenpair the state kept
-    from its validation, so it solves no eigenproblem.
+    The route of lambda_spectrum_raw, from the eigenpair the state
+    keeps, so it solves no eigenproblem the state has solved before.
     """
     return _spectrum_of_eig(*rho._eig)
 
@@ -147,7 +186,7 @@ def eigen_ensemble(rho):
 
     Returns the subnormalized vectors as the rows of a complex (4, 4)
     array; their |v_i><v_i| sum to the state.  Reads the eigenpair the
-    state kept from its validation, so it solves no eigenproblem.
+    state keeps, so it solves no eigenproblem the state has solved before.
     Eigenvalues at or below the support cut of matcore.support, 8 eps
     times the largest, produce exact zero rows, so later stages can rely
     on rank-deficient vectors being identically zero.

@@ -177,8 +177,31 @@ class TestDecompose:
         rc = main(["decompose", "--input", state_file, "--tol", "1e-20", "--output", "/dev/null"])
         assert rc == 4
 
+    def test_nan_invariant_fails(self, state_file, monkeypatch):
+        real = cli.split_invariants
+
+        def nan_reconstruction(rho, d):
+            return real(rho, d)._replace(reconstruction=float("nan"))
+
+        monkeypatch.setattr(cli, "split_invariants", nan_reconstruction)
+        rc = main(["decompose", "--input", state_file, "--output", "/dev/null"])
+        assert rc == 4
+
+    def test_certify_solves_three_eigenproblems(self, state_file, monkeypatch):
+        # the input state, its Takagi embedding and the separable part's
+        # partial transpose; the separable part itself is never solved
+        calls = _counted(monkeypatch, np.linalg, "eigh")
+        argv = ["decompose", "--input", state_file, "--certify", "--output", "/dev/null"]
+        assert main(argv) == 0
+        assert len(calls) == 3
+
 
 class TestGenerate:
+    def test_solves_no_eigenproblem(self, monkeypatch):
+        calls = _counted(monkeypatch, np.linalg, "eigh")
+        assert main(["generate", "--seed", "3", "--output", "/dev/null"]) == 0
+        assert calls == []
+
     def test_explicit_params(self, tmp_path):
         out = tmp_path / "out.json"
         rc = main(

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lsd_toolkit import coset, qstate
+from lsd_toolkit import coset, lsd, qstate
 from lsd_toolkit.coset import CosetParams, build_x, coset_generate, y_factor, y_from_x
 from lsd_toolkit.errors import NotHermitian, NotPSD, NotUnitTrace, ResidualCheckFailed
 from lsd_toolkit.lsd import (
@@ -27,6 +27,7 @@ from lsd_toolkit.qstate import (
     lambda_spectrum_raw,
     sample_random,
     _flip_form,
+    _gram_state,
     _outer_sum,
     to_json,
 )
@@ -273,6 +274,120 @@ class TestVectorFamilies:
             assert abs(res.trace_factor - t) <= 4 * eps * t
             expect = sum(np.outer(x, np.conj(x)) for x in xs_raw) / t
             assert np.abs(res.rho.m - expect).max() <= 8 * eps * np.abs(xs_raw).max() ** 2 / t
+
+
+def gram_families():
+    """(rows, scale) of the Gram sums the package builds, and of eigen-ensembles.
+
+    The separable parts of full, rank3 and rank2 splits (scale 1, as
+    ls_decompose passes it) and coset_generate's frames over their trace
+    factor, plain and squeezed with xi up to 6.
+    """
+    families = [(eigen_ensemble(sample_random(s, rank=1 + s % 4)), 1.0) for s in range(8)]
+    for s in range(24):
+        d = ls_decompose(sample_random(40 + s, rank=2 + s % 3))
+        assert d.rank_class in ("full", "rank3", "rank2")
+        families.append((d.xpp, 1.0))
+    for params in [_random_params(s) for s in range(8)] + [
+        squeezed_params(s) for s in range(16)
+    ]:
+        try:
+            res = coset_generate(params)
+        except ResidualCheckFailed:
+            continue
+        families.append((coset_frame(params), res.trace_factor))
+    return families
+
+
+class TestGramState:
+    """_gram_state(rows, scale) is DensityMatrix(_outer_sum(rows) / scale),
+    with the eigenpair solved on its first read instead of at construction."""
+
+    def test_matrix_and_eigenpair_are_the_eager_ones(self, monkeypatch):
+        families = gram_families()
+        assert len(families) >= 50
+        calls = []
+        real = qstate.herm_eig
+
+        def counted(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(qstate, "herm_eig", counted)
+        for rows, scale in families:
+            eager = DensityMatrix(_outer_sum(rows) / scale)
+            calls.clear()
+            state = _gram_state(rows, scale)
+            assert calls == []
+            assert state.m.dtype == complex and not state.m.flags.writeable
+            assert state.m.tobytes() == eager.m.tobytes()
+            w, v = state._eig
+            assert len(calls) == 1
+            assert state._eig is state._eig and len(calls) == 1
+            assert w.tobytes() == eager._eig[0].tobytes()
+            assert v.tobytes() == eager._eig[1].tobytes()
+            assert not w.flags.writeable and not v.flags.writeable
+
+    def test_json_round_trip_is_byte_for_byte(self):
+        rho = sample_random(41, rank=4)
+        d = ls_decompose(rho)
+        gen = coset_generate(squeezed_params(2)).rho
+        for state in (d.sep, gen):
+            obj = to_json(state)
+            assert list(obj) == ["matrix"]
+            text = json.dumps(obj)
+            again = from_json(DensityMatrix, json.loads(text))
+            assert again.m.tobytes() == state.m.tobytes()
+            # reading the eigenpair changes nothing the codec sees
+            state._eig
+            assert json.dumps(to_json(state)) == text
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**505])
+    def test_entry_checked_before_trace(self, bad):
+        # 2 * I is off trace, so the entry test must come first to be seen;
+        # 2**505 squares to a finite entry above MAX_ENTRY and a finite trace
+        rows = 2.0 * np.eye(4, dtype=complex)
+        rows[1, 2] = bad
+        # an inf entry makes the product warn, inside _gram_state as outside
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = _outer_sum(rows)
+            with pytest.raises(NotHermitian) as eager:
+                DensityMatrix(m)
+            with pytest.raises(NotHermitian) as lazy:
+                _gram_state(rows, 1.0)
+        assert str(lazy.value) == str(eager.value)
+
+    def test_off_trace_message_is_density_matrix_s(self):
+        rows = sample_random(3, rank=4).m * (1.0 + 1e-9)
+        m = _outer_sum(rows) / 0.5
+        with pytest.raises(NotUnitTrace) as eager:
+            DensityMatrix(m)
+        with pytest.raises(NotUnitTrace) as lazy:
+            _gram_state(rows, 0.5)
+        assert str(lazy.value) == str(eager.value)
+
+    @pytest.mark.parametrize("mix", ["white", "01"])
+    def test_nearly_pure_splits_end_as_with_an_eager_state(self, mix, monkeypatch):
+        # the states of test_lsd's TestNearlyPure, whose strict xfails raise
+        # NotUnitTrace from the separable part or get a False verdict
+        def eager_gram(rows, scale):
+            return DensityMatrix(_outer_sum(rows) / scale)
+
+        def outcome(rho):
+            try:
+                d = ls_decompose(rho)
+                rep = verify_optimality(rho, d)
+            except NotUnitTrace as exc:
+                return str(exc)
+            return json.dumps([lsd_to_json(d), to_json(rep)])
+
+        m = {"white": np.eye(4) / 4.0, "01": np.outer(E[:, 1], E[:, 1])}[mix]
+        for eps in (1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12):
+            rho = DensityMatrix((1.0 - eps) * np.outer(PHI_P, PHI_P) + eps * m)
+            lazy = outcome(rho)
+            with monkeypatch.context() as mp:
+                mp.setattr(lsd, "_gram_state", eager_gram)
+                assert outcome(rho) == lazy
 
 
 class TestSpinFlip:
